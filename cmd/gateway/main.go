@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	gateway [-cloud 127.0.0.1:7700 | -shard-addrs a:1,b:2,...] [-key master.key] [-state gw.aof] [-pprof addr] [-no-coalesce] <command> [args]
+//	gateway [-cloud 127.0.0.1:7700 | -shard-addrs a:1,b:2,...] [-key master.key] [-state gw.aof] [-planner] [-pprof addr] <command> [args]
 //
 // Commands:
 //
@@ -23,10 +23,9 @@
 //
 // With -planner, schema registration picks the cheapest tactic satisfying
 // each field's leakage budget instead of the classic
-// highest-tolerated-leakage rule, and -replan-interval starts a background
-// loop that migrates fields whose plan the live cost model has overtaken
-// (a one-shot CLI process exits before the loop matters; the flag is for
-// long-running embeddings of this command).
+// highest-tolerated-leakage rule. Each invocation is a one-shot process,
+// so plans change only through an explicit replan or migrate command;
+// long-running library embeddings can set Options.ReplanInterval instead.
 //
 // The master key file is created on first use; the state file persists
 // tactic counters and schemas across gateway restarts.
@@ -60,10 +59,8 @@ func main() {
 	statePath := flag.String("state", "datablinder-gateway.aof", "gateway state directory (a v1 state file at this path is migrated)")
 	fsync := flag.String("fsync", "interval", "state WAL durability policy: always, interval, never")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
-	noCoalesce := flag.Bool("no-coalesce", false, "disable cross-caller write coalescing (per-shard group commit)")
 	wireJSON := flag.Bool("wire-json", false, "pin the cloud channel to v1 JSON framing instead of negotiating the binary wire codec")
 	planner := flag.Bool("planner", false, "cost-based tactic selection: pick the cheapest tactic within each field's leakage budget")
-	replanInterval := flag.Duration("replan-interval", 0, "with -planner, re-evaluate plans against live costs at this interval (0 = only on explicit replan)")
 	flag.Parse()
 
 	stopPprof, err := pprofserve.Start(*pprofAddr)
@@ -84,10 +81,8 @@ func main() {
 		CreateKey:         true,
 		LocalStatePath:    *statePath,
 		FsyncPolicy:       *fsync,
-		DisableCoalescing: *noCoalesce,
 		DisableBinaryWire: *wireJSON,
 		Planner:           *planner,
-		ReplanInterval:    *replanInterval,
 	}
 	if *shardAddrs != "" {
 		for _, addr := range strings.Split(*shardAddrs, ",") {

@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"time"
 
@@ -185,11 +186,6 @@ type Options struct {
 	// (0 = ring.DefaultVirtualNodes). All gateways of one deployment must
 	// agree on it.
 	VirtualNodes int
-	// DisableCoalescing routes every cloud RPC individually instead of
-	// merging concurrent callers' sub-calls into per-shard group commits
-	// (see README "Write-path coalescing"). Coalescing is on by default;
-	// disable it only for debugging or A/B benchmarking.
-	DisableCoalescing bool
 	// DisableBinaryWire pins the gateway↔cloud channel to the v1 JSON
 	// framing instead of negotiating the binary wire codec (see README
 	// "Wire protocol"). Binary is on by default; disable it only for
@@ -201,7 +197,8 @@ type Options struct {
 	// key file. Empty means an ephemeral random key.
 	MasterKeyPath string
 	// CreateKey writes a fresh master key to MasterKeyPath when the file
-	// does not exist yet.
+	// does not exist yet. An existing file that cannot be read or parsed
+	// fails Open; it is never replaced.
 	CreateKey bool
 
 	// LocalStatePath enables WAL persistence of gateway state (tactic
@@ -269,7 +266,7 @@ func Open(ctx context.Context, opts Options) (*Client, error) {
 		provider, err = keys.NewRandomStore()
 	default:
 		provider, err = keys.Load(opts.MasterKeyPath)
-		if err != nil && opts.CreateKey {
+		if opts.CreateKey && errors.Is(err, fs.ErrNotExist) {
 			provider, err = keys.NewRandomStore()
 			if err == nil {
 				err = provider.Save(opts.MasterKeyPath)
@@ -358,7 +355,6 @@ func Open(ctx context.Context, opts Options) (*Client, error) {
 		Cloud:             client.conn,
 		Local:             local,
 		Registry:          registry,
-		Coalesce:          coalesce.Options{Disabled: opts.DisableCoalescing},
 		Planner:           opts.Planner,
 		ReplanInterval:    opts.ReplanInterval,
 		PlannerHysteresis: opts.PlannerHysteresis,
@@ -421,9 +417,9 @@ func (c *Client) RegisterSchema(ctx context.Context, s *Schema) error {
 func (c *Client) Schemas() []string { return c.engine.Schemas() }
 
 // CoalesceStats reports the write coalescers' aggregated counters —
-// merge rate, flushes by trigger, batch-size histogram (all zero when
-// DisableCoalescing was set). The same numbers are exported process-wide
-// on the -pprof endpoint's /debug/vars as "datablinder_coalesce".
+// merge rate, flushes by trigger, batch-size histogram. The same numbers
+// are exported process-wide on the -pprof endpoint's /debug/vars as
+// "datablinder_coalesce".
 func (c *Client) CoalesceStats() coalesce.Stats { return c.engine.CoalesceStats() }
 
 // TacticCatalog returns the descriptors of every registered tactic

@@ -1,15 +1,19 @@
 package datablinder_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"datablinder"
 
 	"datablinder/internal/cloud"
+	"datablinder/internal/keys"
 	"datablinder/internal/transport"
 )
 
@@ -204,6 +208,37 @@ func TestPersistentGatewayRestart(t *testing.T) {
 	ids, _ = col2.SearchIDs(ctx, datablinder.Eq{Field: "patient", Value: "alice"})
 	if !reflect.DeepEqual(ids, []string{"v1", "v2"}) {
 		t.Fatalf("combined search = %v", ids)
+	}
+}
+
+// TestCreateKeyKeepsMalformedKeyFile: CreateKey only creates a missing key
+// file. A file that exists but does not parse fails Open and keeps its
+// bytes, since replacing it would orphan every document sealed under the
+// original key.
+func TestCreateKeyKeepsMalformedKeyFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "master.key")
+	orig := []byte(strings.Repeat("ab", 32) + "x\n") // one stray byte
+	if err := os.WriteFile(path, orig, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	client, err := datablinder.Open(context.Background(), datablinder.Options{
+		InProcessCloud: true,
+		MasterKeyPath:  path,
+		CreateKey:      true,
+	})
+	if err == nil {
+		client.Close()
+		t.Fatal("Open succeeded over a malformed key file")
+	}
+	if !errors.Is(err, keys.ErrBadKeyFile) {
+		t.Fatalf("Open = %v, want ErrBadKeyFile", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, orig) {
+		t.Fatalf("key file rewritten: %q, want %q", got, orig)
 	}
 }
 

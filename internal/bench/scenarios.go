@@ -68,8 +68,9 @@ func (c delayConn) Call(ctx context.Context, service, method string, args, reply
 
 // countingConn counts logical index-service operations (everything except
 // the document service), reproducing the paper's "~350k secure index
-// operations" stat. A transport batch counts as its number of sub-calls,
-// not one — batching changes frames, not index operations.
+// operations" stat. A transport batch counts as its index sub-calls, not
+// one — batching changes frames, not index operations. Document sub-calls
+// that the write coalescer merged into the same batch are not counted.
 type countingConn struct {
 	transport.Conn
 	indexOps *int64
@@ -79,7 +80,12 @@ func (c countingConn) Call(ctx context.Context, service, method string, args, re
 	switch {
 	case service == transport.BatchService:
 		if v := reflect.ValueOf(args); v.Kind() == reflect.Slice {
-			atomic.AddInt64(c.indexOps, int64(v.Len()))
+			for i := 0; i < v.Len(); i++ {
+				sub := reflect.Indirect(v.Index(i)).FieldByName("Service")
+				if !sub.IsValid() || sub.String() != cloud.DocService {
+					atomic.AddInt64(c.indexOps, 1)
+				}
+			}
 		}
 	case service != cloud.DocService:
 		atomic.AddInt64(c.indexOps, 1)

@@ -14,19 +14,6 @@ import (
 // is the classic offline/online split for Paillier (see the homomorphic
 // encryption survey in PAPERS.md).
 
-// randPooling gates pool draws globally so benchmarks can A/B the
-// precomputation without re-plumbing key setup. Pools still fill in the
-// background while disabled; draws just bypass them.
-var randPooling atomic.Bool
-
-func init() { randPooling.Store(true) }
-
-// SetRandPooling toggles use of precomputed encryption masks globally.
-func SetRandPooling(on bool) { randPooling.Store(on) }
-
-// RandPooling reports whether pooled masks are in use.
-func RandPooling() bool { return randPooling.Load() }
-
 // randPool buffers precomputed masks for one public key. The filler
 // goroutine is self-terminating: it runs only while the pool has room and
 // exits once full, so keys need no Close/teardown lifecycle. Each draw
@@ -100,9 +87,9 @@ func (p *randPool) fill() {
 }
 
 // mask returns a fresh r^n mod n² value, preferring the precomputed pool
-// and falling back to inline computation when it is dry or disabled.
+// and falling back to inline computation when it is dry or absent.
 func (pk *PublicKey) mask() (*big.Int, error) {
-	if p := pk.pool; p != nil && randPooling.Load() {
+	if p := pk.pool; p != nil {
 		select {
 		case m := <-p.masks:
 			p.kick()

@@ -80,27 +80,45 @@ func TestEncryptZeroPooledIsIdentity(t *testing.T) {
 	}
 }
 
-func TestRandPoolingToggle(t *testing.T) {
+// TestEncryptInlineWithoutPool covers the inline mask path: a key with no
+// pool (EnableRandPool(0) detaches it) and a key whose pool is dry both
+// still encrypt correctly.
+func TestEncryptInlineWithoutPool(t *testing.T) {
 	sk, err := GenerateKey(testKeyBits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sk.EnableRandPool(4)
-	if err := sk.FillRandPool(); err != nil {
-		t.Fatal(err)
+	sk.EnableRandPool(0)
+	if got := sk.RandPoolLen(); got != 0 {
+		t.Fatalf("RandPoolLen = %d after EnableRandPool(0), want 0", got)
 	}
-	SetRandPooling(false)
-	defer SetRandPooling(true)
-	ct, err := sk.EncryptInt64(-99)
-	if err != nil {
-		t.Fatal(err)
+	for _, v := range []int64{-99, 0, 99} {
+		ct, err := sk.EncryptInt64(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := sk.DecryptInt64(ct); err != nil || got != v {
+			t.Fatalf("no-pool round trip of %d = %d, %v", v, got, err)
+		}
 	}
-	if got, err := sk.DecryptInt64(ct); err != nil || got != -99 {
-		t.Fatalf("toggle-off round trip = %d, %v", got, err)
+
+	// A dry pool whose filler is marked as running never refills, so
+	// every draw falls through to the inline path.
+	dry := &randPool{masks: make(chan *big.Int, 1), pk: &sk.PublicKey}
+	dry.filling.Store(true)
+	sk.pool = dry
+	for _, v := range []int64{-7, 7} {
+		ct, err := sk.EncryptInt64(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := sk.DecryptInt64(ct); err != nil || got != v {
+			t.Fatalf("dry-pool round trip of %d = %d, %v", v, got, err)
+		}
 	}
-	// Pool untouched while the toggle is off.
-	if got := sk.RandPoolLen(); got != 4 {
-		t.Fatalf("RandPoolLen = %d after disabled encrypt, want 4", got)
+	if got := sk.RandPoolLen(); got != 0 {
+		t.Fatalf("RandPoolLen = %d for a dry pool, want 0", got)
 	}
 }
 
@@ -149,8 +167,6 @@ func BenchmarkPaillierEncrypt(b *testing.B) {
 	}
 	v := big.NewInt(123456)
 	b.Run("inline", func(b *testing.B) {
-		SetRandPooling(false)
-		defer SetRandPooling(true)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := sk.Encrypt(v); err != nil {

@@ -2,23 +2,32 @@ package primitives
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/hex"
 	"sync"
 	"testing"
 )
 
-// TestPRFMatchesBaseline pins the pooled PRF to the allocate-per-call
-// reference output across toggle states and buffer reuse.
+// stdlibPRF is the reference the pooled PRF must match: a fresh
+// HMAC-SHA256 state per call.
+func stdlibPRF(key Key, data ...[]byte) []byte {
+	mac := hmac.New(sha256.New, key[:])
+	for _, d := range data {
+		mac.Write(d)
+	}
+	return mac.Sum(nil)
+}
+
+// TestPRFMatchesBaseline pins the pooled PRF to the stdlib HMAC output
+// across buffer reuse and recycled pool states.
 func TestPRFMatchesBaseline(t *testing.T) {
 	key, err := NewRandomKey()
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := [][]byte{[]byte("namespace"), {0}, []byte("keyword")}
-
-	SetHotPathCaching(false)
-	want := PRF(key, data...)
-	SetHotPathCaching(true)
-	defer SetHotPathCaching(true)
+	want := stdlibPRF(key, data...)
 
 	if got := PRF(key, data...); !bytes.Equal(got, want) {
 		t.Fatalf("pooled PRF = %x, want %x", got, want)
@@ -38,26 +47,44 @@ func TestPRFMatchesBaseline(t *testing.T) {
 	}
 }
 
-func TestDeriveKeyMemoMatchesBaseline(t *testing.T) {
+func mustHex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestHKDFKnownAnswer checks HKDF against RFC 5869 Appendix A.1 (basic
+// test case with SHA-256), and DeriveKey against HKDF with no salt.
+func TestHKDFKnownAnswer(t *testing.T) {
+	ikm := mustHex(t, "0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b")
+	salt := mustHex(t, "000102030405060708090a0b0c")
+	info := mustHex(t, "f0f1f2f3f4f5f6f7f8f9")
+	want := mustHex(t, "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865")
+	got, err := HKDF(ikm, salt, info, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("HKDF OKM = %x, want %x", got, want)
+	}
+
 	master, err := NewRandomKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetHotPathCaching(false)
-	want, err := DeriveKey(master, "label-a")
+	raw, err := HKDF(master[:], nil, []byte("label-a"), KeySize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetHotPathCaching(true)
-	defer SetHotPathCaching(true)
-	for i := 0; i < 3; i++ {
-		got, err := DeriveKey(master, "label-a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("memoized DeriveKey = %x, want %x", got, want)
-		}
+	k, err := DeriveKey(master, "label-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(k[:], raw) {
+		t.Fatalf("DeriveKey = %x, want HKDF output %x", k, raw)
 	}
 }
 
@@ -112,7 +139,6 @@ func TestHotPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetHotPathCaching(true)
 	data := []byte("allocation-regression-probe")
 
 	// PRFInto with a caller buffer: only the variadic slice remains once
@@ -166,21 +192,31 @@ func TestHotPathAllocs(t *testing.T) {
 }
 
 // TestMACPoolConcurrent hammers the pooled PRF from parallel goroutines
-// under -race, over more distinct keys than one pool shard holds so both
-// the pooled and fallback paths run.
+// under -race. All keys share one pool shard and outnumber its capacity,
+// so both the pooled path and the shard-full fallback to a fresh HMAC run.
 func TestMACPoolConcurrent(t *testing.T) {
-	const keys = 128
+	const keys = 2 * macPoolPerShard
 	ks := make([]Key, keys)
 	want := make([][]byte, keys)
-	SetHotPathCaching(true)
 	for i := range ks {
 		k, err := NewRandomKey()
 		if err != nil {
 			t.Fatal(err)
 		}
+		k[0] = 0xa5 // same shard for every key
 		ks[i] = k
-		want[i] = PRF(k, []byte{byte(i)})
+		want[i] = stdlibPRF(k, []byte{byte(i)})
 	}
+	// The pool is process-wide: drop this test's keys afterwards so the
+	// full shard cannot push another test's key onto the fallback path.
+	t.Cleanup(func() {
+		sh := &macShards[ks[0][0]%macPoolShards]
+		sh.mu.Lock()
+		for _, k := range ks {
+			delete(sh.m, k)
+		}
+		sh.mu.Unlock()
+	})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -196,26 +232,35 @@ func TestMACPoolConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	fallback := 0
+	for _, k := range ks {
+		if macPoolFor(k) == nil {
+			fallback++
+		}
+	}
+	if fallback == 0 {
+		t.Fatal("no key took the shard-full fallback path")
+	}
 }
 
 func BenchmarkPRFInto(b *testing.B) {
 	key, _ := NewRandomKey()
 	data := []byte("benchmark-keyword")
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"pooled", true}, {"baseline", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			SetHotPathCaching(mode.on)
-			defer SetHotPathCaching(true)
-			buf := make([]byte, 0, PRFSize)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				PRFInto(buf, key, data)
-			}
-		})
-	}
+	buf := make([]byte, 0, PRFSize)
+	b.Run("pooled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			PRFInto(buf, key, data)
+		}
+	})
+	b.Run("stdlib", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mac := hmac.New(sha256.New, key[:])
+			mac.Write(data)
+			mac.Sum(buf)
+		}
+	})
 }
 
 func BenchmarkSealInto(b *testing.B) {
@@ -231,4 +276,3 @@ func BenchmarkSealInto(b *testing.B) {
 		}
 	}
 }
-

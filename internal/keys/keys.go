@@ -99,12 +99,25 @@ func Load(path string) (*Store, error) {
 	return NewStore(master), nil
 }
 
-// Save writes the master key to path (0600). It exists for demo and
-// development deployments; production setups should source the master key
-// from an HSM.
+// Save writes the master key to a new file at path (0600). It refuses to
+// replace an existing file, so a key — and all data sealed under it — can
+// never be silently overwritten, not even by two concurrent starts. It
+// exists for demo and development deployments; production setups should
+// source the master key from an HSM.
 func (s *Store) Save(path string) error {
-	data := hex.EncodeToString(s.master[:]) + "\n"
-	if err := os.WriteFile(path, []byte(data), 0o600); err != nil {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
+	if err != nil {
+		return fmt.Errorf("keys: creating key file: %w", err)
+	}
+	_, err = f.WriteString(hex.EncodeToString(s.master[:]) + "\n")
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path) // a partial file would block every later CreateKey
 		return fmt.Errorf("keys: writing key file: %w", err)
 	}
 	return nil

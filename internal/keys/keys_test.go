@@ -2,6 +2,7 @@ package keys
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -114,6 +115,27 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	k2, _ := s2.Key(ref)
 	if k1 != k2 {
 		t.Fatal("loaded store derives different keys")
+	}
+}
+
+func TestSaveRefusesExistingFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "master.key")
+	if err := store(t).Save(path); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store(t).Save(path); !errors.Is(err, fs.ErrExist) {
+		t.Fatalf("second Save = %v, want fs.ErrExist", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatal("second Save replaced the key file")
 	}
 }
 
