@@ -22,9 +22,10 @@ import (
 
 // Common errors.
 var (
-	ErrKeySize        = errors.New("paillier: key size must be at least 256 bits")
+	ErrKeySize        = errors.New("paillier: key size must be an even number of bits, at least 256")
+	ErrInvalidKey     = errors.New("paillier: p and q are not two distinct primes")
 	ErrMessageRange   = errors.New("paillier: message out of range")
-	ErrInvalidCipher  = errors.New("paillier: ciphertext out of range")
+	ErrInvalidCipher  = errors.New("paillier: ciphertext is not a unit of Z*_{n²}")
 	ErrMismatchedKeys = errors.New("paillier: ciphertexts from different keys")
 )
 
@@ -35,27 +36,76 @@ type PublicKey struct {
 	N  *big.Int // modulus n = p*q
 	G  *big.Int // generator, fixed to n+1
 	N2 *big.Int // n² cache
-
-	// pool, when non-nil, holds precomputed r^n mod n² masks so Encrypt
-	// skips the per-call exponentiation. See EnableRandPool.
-	pool *randPool
 }
 
-// PrivateKey is a Paillier private key.
+// PrivateKey is a Paillier private key. Holding the factorization lets it
+// split every exponentiation mod n² into two half-width ones mod p² and q²
+// and recombine them with Garner's formula (Paillier, EUROCRYPT 1999, §7).
 type PrivateKey struct {
 	PublicKey
+	P, Q   *big.Int
 	Lambda *big.Int // lcm(p-1, q-1)
 	Mu     *big.Int // (L(g^lambda mod n²))^-1 mod n
+
+	cp, cq crtHalf
+	p2InvQ *big.Int // (p²)^-1 mod q², recombines masks mod n²
+	pInvQ  *big.Int // p^-1 mod q, recombines plaintexts mod n
 }
 
-// GenerateKey creates a Paillier key pair with an n of the given bit size.
-// Bit sizes of 1024+ are cryptographically meaningful; tests may use
-// smaller sizes (>= 256) for speed.
+// crtHalf holds what one prime p contributes to the CRT computations.
+type crtHalf struct {
+	p, p2, pm1 *big.Int
+	maskExp    *big.Int // n mod p(p-1): r^n = r^maskExp (mod p²) for r coprime to p
+	h          *big.Int // L_p(g^(p-1) mod p²)^-1 mod p
+}
+
+func newCRTHalf(p, n, g *big.Int) (crtHalf, error) {
+	h := crtHalf{p: p, p2: new(big.Int).Mul(p, p), pm1: new(big.Int).Sub(p, one)}
+	h.maskExp = new(big.Int).Mod(n, new(big.Int).Mul(p, h.pm1))
+	l := lFunc(new(big.Int).Exp(g, h.pm1, h.p2), p)
+	if h.h = l.ModInverse(l, p); h.h == nil {
+		return crtHalf{}, ErrInvalidKey
+	}
+	return h, nil
+}
+
+// mask returns r^n mod p².
+func (h *crtHalf) mask(r *big.Int) *big.Int {
+	x := new(big.Int).Mod(r, h.p2)
+	return x.Exp(x, h.maskExp, h.p2)
+}
+
+// decrypt returns m mod p = L_p(c^(p-1) mod p²)·h mod p, or false when p
+// divides c, so that c is not a unit.
+func (h *crtHalf) decrypt(c *big.Int) (*big.Int, bool) {
+	x := new(big.Int).Mod(c, h.p2)
+	if new(big.Int).Mod(x, h.p).Sign() == 0 {
+		return nil, false
+	}
+	m := lFunc(x.Exp(x, h.pm1, h.p2), h.p)
+	m.Mul(m, h.h)
+	return m.Mod(m, h.p), true
+}
+
+// garner returns the x in [0, a·b) with x = xa (mod a) and x = xb (mod b),
+// given aInvB = a^-1 mod b.
+func garner(xa, xb, a, b, aInvB *big.Int) *big.Int {
+	t := new(big.Int).Sub(xb, xa)
+	t.Mul(t, aInvB)
+	t.Mod(t, b)
+	t.Mul(t, a)
+	return t.Add(t, xa)
+}
+
+// GenerateKey creates a Paillier key pair with an n of the given bit size,
+// which must be even. Bit sizes of 1024+ are cryptographically meaningful;
+// tests may use smaller sizes (>= 256) for speed.
 func GenerateKey(bits int) (*PrivateKey, error) {
-	if bits < 256 {
+	if bits < 256 || bits%2 != 0 {
 		return nil, ErrKeySize
 	}
 	for {
+		// rand.Prime sets the top two bits, so n has exactly bits bits.
 		p, err := rand.Prime(rand.Reader, bits/2)
 		if err != nil {
 			return nil, fmt.Errorf("paillier: generating p: %w", err)
@@ -64,35 +114,50 @@ func GenerateKey(bits int) (*PrivateKey, error) {
 		if err != nil {
 			return nil, fmt.Errorf("paillier: generating q: %w", err)
 		}
-		if p.Cmp(q) == 0 {
-			continue
+		if sk, err := NewPrivateKey(p, q); err == nil {
+			return sk, nil
 		}
-		n := new(big.Int).Mul(p, q)
-		if n.BitLen() != bits {
-			continue
-		}
-		pm1 := new(big.Int).Sub(p, one)
-		qm1 := new(big.Int).Sub(q, one)
-		gcd := new(big.Int).GCD(nil, nil, pm1, qm1)
-		lambda := new(big.Int).Mul(pm1, qm1)
-		lambda.Div(lambda, gcd)
-
-		n2 := new(big.Int).Mul(n, n)
-		g := new(big.Int).Add(n, one)
-
-		// mu = (L(g^lambda mod n²))^-1 mod n, with L(x) = (x-1)/n.
-		glambda := new(big.Int).Exp(g, lambda, n2)
-		l := lFunc(glambda, n)
-		mu := new(big.Int).ModInverse(l, n)
-		if mu == nil {
-			continue // degenerate parameters; retry
-		}
-		return &PrivateKey{
-			PublicKey: PublicKey{N: n, G: g, N2: n2},
-			Lambda:    lambda,
-			Mu:        mu,
-		}, nil
 	}
+}
+
+// NewPrivateKey derives the key pair with n = p·q from its two primes,
+// including the CRT values. It rejects factors that are not two distinct
+// primes with gcd(n, (p-1)(q-1)) = 1, or an n shorter than 256 bits.
+func NewPrivateKey(p, q *big.Int) (*PrivateKey, error) {
+	if p.Cmp(q) == 0 || !p.ProbablyPrime(20) || !q.ProbablyPrime(20) {
+		return nil, ErrInvalidKey
+	}
+	n := new(big.Int).Mul(p, q)
+	if n.BitLen() < 256 {
+		return nil, ErrKeySize
+	}
+	pm1 := new(big.Int).Sub(p, one)
+	qm1 := new(big.Int).Sub(q, one)
+	gcd := new(big.Int).GCD(nil, nil, pm1, qm1)
+	lambda := new(big.Int).Mul(pm1, qm1)
+	lambda.Div(lambda, gcd)
+	// With g = n+1, L(g^lambda mod n²) = lambda mod n.
+	mu := new(big.Int).ModInverse(lambda, n)
+	if mu == nil {
+		return nil, ErrInvalidKey
+	}
+	sk := &PrivateKey{
+		PublicKey: PublicKey{N: n, G: new(big.Int).Add(n, one), N2: new(big.Int).Mul(n, n)},
+		P:         p,
+		Q:         q,
+		Lambda:    lambda,
+		Mu:        mu,
+	}
+	var err error
+	if sk.cp, err = newCRTHalf(p, n, sk.G); err != nil {
+		return nil, err
+	}
+	if sk.cq, err = newCRTHalf(q, n, sk.G); err != nil {
+		return nil, err
+	}
+	sk.p2InvQ = new(big.Int).ModInverse(sk.cp.p2, sk.cq.p2)
+	sk.pInvQ = new(big.Int).ModInverse(p, q)
+	return sk, nil
 }
 
 func lFunc(x, n *big.Int) *big.Int {
@@ -132,31 +197,54 @@ func (pk *PublicKey) decode(m *big.Int) *big.Int {
 	return new(big.Int).Set(m)
 }
 
-// Encrypt encrypts the signed value v. When a randomness pool is enabled
-// (EnableRandPool) and warm, the mask r^n mod n² is precomputed and this
-// costs one modular multiplication.
+// Encrypt encrypts the signed value v: c = g^m · r^n mod n² for a fresh
+// random r. The mask r^n costs one full-width exponentiation mod n².
 func (pk *PublicKey) Encrypt(v *big.Int) (*Ciphertext, error) {
+	return pk.encrypt(v, pk.mask)
+}
+
+// Encrypt encrypts v like PublicKey.Encrypt, but computes the mask r^n
+// mod n² from its residues mod p² and q², which is bit-identical and
+// cheaper.
+func (sk *PrivateKey) Encrypt(v *big.Int) (*Ciphertext, error) {
+	return sk.encrypt(v, sk.mask)
+}
+
+func (pk *PublicKey) mask(r *big.Int) *big.Int { return new(big.Int).Exp(r, pk.N, pk.N2) }
+
+func (sk *PrivateKey) mask(r *big.Int) *big.Int {
+	return garner(sk.cp.mask(r), sk.cq.mask(r), sk.cp.p2, sk.cq.p2, sk.p2InvQ)
+}
+
+func (pk *PublicKey) encrypt(v *big.Int, mask func(r *big.Int) *big.Int) (*Ciphertext, error) {
 	m, err := pk.encode(v)
 	if err != nil {
 		return nil, err
 	}
-	rn, err := pk.mask()
+	r, err := pk.randomUnit()
 	if err != nil {
 		return nil, err
 	}
-	return pk.encryptWithMask(m, rn), nil
-}
-
-// encryptWithMask completes the online phase of encryption given the mask
-// rn = r^n mod n²: c = g^m * rn mod n². With g = n+1: g^m = 1 + m*n
-// (mod n²). rn is not modified.
-func (pk *PublicKey) encryptWithMask(m, rn *big.Int) *Ciphertext {
-	gm := new(big.Int).Mul(m, pk.N)
+	// With g = n+1: g^m = 1 + m*n (mod n²).
+	gm := m.Mul(m, pk.N)
 	gm.Add(gm, one)
 	gm.Mod(gm, pk.N2)
-	c := gm.Mul(gm, rn)
+	c := gm.Mul(gm, mask(r))
 	c.Mod(c, pk.N2)
-	return &Ciphertext{C: c, pk: pk}
+	return &Ciphertext{C: c, pk: pk}, nil
+}
+
+// randomUnit samples r uniform in [1, n) with gcd(r, n) = 1.
+func (pk *PublicKey) randomUnit() (*big.Int, error) {
+	for {
+		r, err := rand.Int(rand.Reader, pk.N)
+		if err != nil {
+			return nil, fmt.Errorf("paillier: sampling r: %w", err)
+		}
+		if r.Sign() > 0 && pk.isUnit(r) {
+			return r, nil
+		}
+	}
 }
 
 // EncryptInt64 encrypts a signed 64-bit value.
@@ -164,27 +252,34 @@ func (pk *PublicKey) EncryptInt64(v int64) (*Ciphertext, error) {
 	return pk.Encrypt(big.NewInt(v))
 }
 
-// EncryptZero returns a fresh encryption of zero, the identity element for
-// homomorphic addition. Enc(0) = r^n mod n², so a pooled mask IS the
-// ciphertext — no multiplication at all.
-func (pk *PublicKey) EncryptZero() (*Ciphertext, error) {
-	rn, err := pk.mask()
-	if err != nil {
-		return nil, err
-	}
-	return &Ciphertext{C: rn, pk: pk}, nil
+// EncryptInt64 encrypts a signed 64-bit value with the CRT mask.
+func (sk *PrivateKey) EncryptInt64(v int64) (*Ciphertext, error) {
+	return sk.Encrypt(big.NewInt(v))
 }
 
-// Decrypt recovers the signed plaintext from ct.
+// EncryptZero returns a fresh, randomized encryption of zero, the identity
+// element for homomorphic addition.
+func (pk *PublicKey) EncryptZero() (*Ciphertext, error) {
+	return pk.Encrypt(new(big.Int))
+}
+
+// Decrypt recovers the signed plaintext from ct by CRT: m mod p and m mod q
+// each cost one half-width exponentiation, and Garner's formula recombines
+// them. A ciphertext outside [1, n²) or sharing a factor with n is rejected
+// with ErrInvalidCipher.
 func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
 	if ct.C.Sign() <= 0 || ct.C.Cmp(sk.N2) >= 0 {
 		return nil, ErrInvalidCipher
 	}
-	clambda := new(big.Int).Exp(ct.C, sk.Lambda, sk.N2)
-	m := lFunc(clambda, sk.N)
-	m.Mul(m, sk.Mu)
-	m.Mod(m, sk.N)
-	return sk.decode(m), nil
+	mp, ok := sk.cp.decrypt(ct.C)
+	if !ok {
+		return nil, ErrInvalidCipher
+	}
+	mq, ok := sk.cq.decrypt(ct.C)
+	if !ok {
+		return nil, ErrInvalidCipher
+	}
+	return sk.decode(garner(mp, mq, sk.P, sk.Q, sk.pInvQ)), nil
 }
 
 // DecryptInt64 decrypts and converts to int64, erroring on overflow.
@@ -234,29 +329,40 @@ func MulPlain(a *Ciphertext, k *big.Int) (*Ciphertext, error) {
 	return &Ciphertext{C: c, pk: a.pk}, nil
 }
 
-// Sum homomorphically adds a sequence of ciphertexts. It returns an
-// encryption of zero for an empty input, which requires pk.
-func Sum(pk *PublicKey, cts ...*Ciphertext) (*Ciphertext, error) {
-	acc, err := pk.EncryptZero()
-	if err != nil {
-		return nil, err
-	}
-	for _, ct := range cts {
-		acc, err = Add(acc, ct)
-		if err != nil {
-			return nil, err
+// Sum homomorphically adds serialized ciphertexts under pk, starting from
+// the trivial encryption of zero, c = 1. The result is the product of the
+// inputs and is not re-randomized. Each input is range-checked; that it is
+// a unit of Z*_{n²} is checked once, on the product, which is a unit
+// exactly when every factor is. An empty input yields c = 1, which
+// decrypts to 0.
+func Sum(pk *PublicKey, cts ...[]byte) (*Ciphertext, error) {
+	acc := big.NewInt(1)
+	c := new(big.Int)
+	for _, b := range cts {
+		if c.SetBytes(b); c.Sign() <= 0 || c.Cmp(pk.N2) >= 0 {
+			return nil, ErrInvalidCipher
 		}
+		acc.Mul(acc, c)
+		acc.Mod(acc, pk.N2)
 	}
-	return acc, nil
+	if !pk.isUnit(acc) {
+		return nil, ErrInvalidCipher
+	}
+	return &Ciphertext{C: acc, pk: pk}, nil
+}
+
+func (pk *PublicKey) isUnit(c *big.Int) bool {
+	return new(big.Int).GCD(nil, nil, c, pk.N).Cmp(one) == 0
 }
 
 // Bytes serializes the ciphertext value.
 func (ct *Ciphertext) Bytes() []byte { return ct.C.Bytes() }
 
-// CiphertextFromBytes deserializes a ciphertext under pk.
+// CiphertextFromBytes deserializes a ciphertext under pk. It rejects a
+// value outside [1, n²) or one that shares a factor with n.
 func CiphertextFromBytes(pk *PublicKey, b []byte) (*Ciphertext, error) {
 	c := new(big.Int).SetBytes(b)
-	if c.Sign() <= 0 || c.Cmp(pk.N2) >= 0 {
+	if c.Sign() <= 0 || c.Cmp(pk.N2) >= 0 || !pk.isUnit(c) {
 		return nil, ErrInvalidCipher
 	}
 	return &Ciphertext{C: c, pk: pk}, nil

@@ -38,14 +38,6 @@ const Service = "agg"
 // to 2048+ for production deployments.
 const KeyBits = 1024
 
-// randPoolSize is how many precomputed encryption masks the gateway keeps
-// ready; inserts draw one mask per encrypted value. The cloud side keeps a
-// smaller pool since it only encrypts the zero accumulator per sum request.
-const (
-	randPoolSize      = 128
-	cloudRandPoolSize = 16
-)
-
 // RPC payloads.
 type (
 	// SetupArgs ships the Paillier public key (modulus) to the cloud.
@@ -80,11 +72,11 @@ type (
 	}
 )
 
-// serializedKey is the gateway-store representation of the private key.
+// serializedKey is the gateway-store representation of the private key:
+// its two primes, from which every other key value is derived at load.
 type serializedKey struct {
-	N      []byte `json:"n"`
-	Lambda []byte `json:"lambda"`
-	Mu     []byte `json:"mu"`
+	P []byte `json:"p"`
+	Q []byte `json:"q"`
 }
 
 // Describe returns the tactic's static descriptor. Class and Leakage are
@@ -164,28 +156,25 @@ func (t *Tactic) Setup(ctx context.Context) error {
 	}
 	var sk *cryptopaillier.PrivateKey
 	if ok {
+		// A record that cannot be loaded fails Setup: generating a new key
+		// would silently orphan every stored aggregate ciphertext.
 		var ser serializedKey
 		if err := json.Unmarshal(raw, &ser); err != nil {
-			return fmt.Errorf("paillier: decoding stored key: %w", err)
+			return fmt.Errorf("paillier: decoding stored key of schema %q: %w", t.binding.Schema, err)
 		}
-		n := new(big.Int).SetBytes(ser.N)
-		sk = &cryptopaillier.PrivateKey{
-			PublicKey: cryptopaillier.PublicKey{
-				N:  n,
-				G:  new(big.Int).Add(n, big.NewInt(1)),
-				N2: new(big.Int).Mul(n, n),
-			},
-			Lambda: new(big.Int).SetBytes(ser.Lambda),
-			Mu:     new(big.Int).SetBytes(ser.Mu),
+		if len(ser.P) == 0 || len(ser.Q) == 0 {
+			return fmt.Errorf("paillier: stored key of schema %q lacks p and q", t.binding.Schema)
+		}
+		sk, err = cryptopaillier.NewPrivateKey(new(big.Int).SetBytes(ser.P), new(big.Int).SetBytes(ser.Q))
+		if err != nil {
+			return fmt.Errorf("paillier: stored key of schema %q: %w", t.binding.Schema, err)
 		}
 	} else {
 		sk, err = cryptopaillier.GenerateKey(KeyBits)
 		if err != nil {
 			return err
 		}
-		ser, err := json.Marshal(serializedKey{
-			N: sk.N.Bytes(), Lambda: sk.Lambda.Bytes(), Mu: sk.Mu.Bytes(),
-		})
+		ser, err := json.Marshal(serializedKey{P: sk.P.Bytes(), Q: sk.Q.Bytes()})
 		if err != nil {
 			return err
 		}
@@ -199,7 +188,6 @@ func (t *Tactic) Setup(ctx context.Context) error {
 		SetupArgs{Schema: t.binding.Schema, N: sk.PublicKey.Bytes()}); err != nil {
 		return fmt.Errorf("paillier: registering public key: %w", err)
 	}
-	sk.EnableRandPool(randPoolSize)
 	t.sk = sk
 	return nil
 }
@@ -283,73 +271,47 @@ func (t *Tactic) Aggregate(ctx context.Context, field string, agg model.Agg, doc
 // shard — the result is bit-for-bit a valid encryption of the total, so
 // sharding loses nothing.
 func (t *Tactic) partialSums(ctx context.Context, field string, docIDs []string, sk *cryptopaillier.PrivateKey) (*cryptopaillier.Ciphertext, int, error) {
+	replies := make([]SumReply, t.shards.N())
 	if t.shards.N() == 1 {
-		var reply SumReply
 		if err := t.shards.Conn(0).Call(ctx, Service, "sum",
-			SumArgs{Schema: t.binding.Schema, Field: field, DocIDs: docIDs}, &reply); err != nil {
+			SumArgs{Schema: t.binding.Schema, Field: field, DocIDs: docIDs}, &replies[0]); err != nil {
 			return nil, 0, err
 		}
-		ct, err := cryptopaillier.CiphertextFromBytes(&sk.PublicKey, reply.CT)
+	} else {
+		routes := make([]string, len(docIDs))
+		for i, id := range docIDs {
+			routes[i] = t.route(id)
+		}
+		groups := t.shards.Split(routes)
+		err := t.shards.Each(ctx, func(gctx context.Context, shard int, conn transport.Conn) error {
+			idx := groups[shard]
+			if len(idx) == 0 {
+				return nil
+			}
+			sub := make([]string, len(idx))
+			for j, i := range idx {
+				sub[j] = docIDs[i]
+			}
+			return conn.Call(gctx, Service, "sum",
+				SumArgs{Schema: t.binding.Schema, Field: field, DocIDs: sub}, &replies[shard])
+		})
 		if err != nil {
 			return nil, 0, err
 		}
-		return ct, reply.Count, nil
 	}
-	routes := make([]string, len(docIDs))
-	for i, id := range docIDs {
-		routes[i] = t.route(id)
-	}
-	groups := t.shards.Split(routes)
-	replies := make([]*SumReply, t.shards.N())
-	err := t.shards.Each(ctx, func(gctx context.Context, shard int, conn transport.Conn) error {
-		idx := groups[shard]
-		if len(idx) == 0 {
-			return nil
-		}
-		sub := make([]string, len(idx))
-		for j, i := range idx {
-			sub[j] = docIDs[i]
-		}
-		var reply SumReply
-		if err := conn.Call(gctx, Service, "sum",
-			SumArgs{Schema: t.binding.Schema, Field: field, DocIDs: sub}, &reply); err != nil {
-			return err
-		}
-		replies[shard] = &reply
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	var acc *cryptopaillier.Ciphertext
+	var cts [][]byte
 	count := 0
 	for _, reply := range replies {
-		if reply == nil {
-			continue
-		}
-		ct, err := cryptopaillier.CiphertextFromBytes(&sk.PublicKey, reply.CT)
-		if err != nil {
-			return nil, 0, err
-		}
-		if acc == nil {
-			acc = ct
-		} else {
-			acc, err = cryptopaillier.Add(acc, ct)
-			if err != nil {
-				return nil, 0, err
-			}
+		if reply.CT != nil { // nil: the shard owned none of the ids
+			cts = append(cts, reply.CT)
 		}
 		count += reply.Count
 	}
-	if acc == nil {
-		// Every shard group was empty — cannot happen with len(docIDs) > 0,
-		// but fail safe with an encryption of zero.
-		acc, err = sk.PublicKey.EncryptZero()
-		if err != nil {
-			return nil, 0, err
-		}
+	ct, err := cryptopaillier.Sum(&sk.PublicKey, cts...)
+	if err != nil {
+		return nil, 0, err
 	}
-	return acc, count, nil
+	return ct, count, nil
 }
 
 // RegisterCloud installs the cloud half on mux, backed by store.
@@ -358,8 +320,8 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 	colKey := func(schema, field string) []byte {
 		return []byte(fmt.Sprintf("aggidx/%s/%s", schema, field))
 	}
-	// Parsing a public key recomputes n², so cache the parsed key (with an
-	// attached mask pool) per schema instead of rebuilding it per request.
+	// Parsing a public key recomputes n², so cache the parsed key per
+	// schema instead of rebuilding it per request.
 	var pkMu sync.Mutex
 	pkCache := make(map[string]*cryptopaillier.PublicKey)
 	cachedPK := func(schema string, nBytes []byte) (*cryptopaillier.PublicKey, error) {
@@ -372,7 +334,6 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 		if err != nil {
 			return nil, err
 		}
-		pk.EnableRandPool(cloudRandPoolSize)
 		pkCache[schema] = pk
 		return pk, nil
 	}
@@ -397,30 +358,25 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 		if err != nil {
 			return nil, err
 		}
-		acc, err := pk.EncryptZero()
+		// The accumulator starts from the trivial Enc(0) = 1 and is not
+		// re-randomized: the reply is a product of ciphertexts this node
+		// already holds (DESIGN.md, "Paillier aggregation").
+		col := colKey(in.Schema, in.Field)
+		cts := make([][]byte, 0, len(in.DocIDs))
+		for _, docID := range in.DocIDs {
+			raw, ok, err := store.HGet(col, []byte(docID))
+			if err != nil {
+				return nil, err
+			}
+			if ok { // a document lacking this field is skipped
+				cts = append(cts, raw)
+			}
+		}
+		acc, err := cryptopaillier.Sum(pk, cts...)
 		if err != nil {
 			return nil, err
 		}
-		count := 0
-		for _, docID := range in.DocIDs {
-			raw, ok, err := store.HGet(colKey(in.Schema, in.Field), []byte(docID))
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue // document lacks this field
-			}
-			ct, err := cryptopaillier.CiphertextFromBytes(pk, raw)
-			if err != nil {
-				return nil, err
-			}
-			acc, err = cryptopaillier.Add(acc, ct)
-			if err != nil {
-				return nil, err
-			}
-			count++
-		}
-		return &SumReply{CT: acc.Bytes(), Count: count}, nil
+		return &SumReply{CT: acc.Bytes(), Count: len(cts)}, nil
 	})
 }
 

@@ -1,8 +1,11 @@
 package paillier_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"datablinder/internal/keys"
@@ -162,6 +165,67 @@ func TestKeyPersistsAcrossInstances(t *testing.T) {
 	}
 	if math.Abs(got-42) > 1e-6 {
 		t.Fatalf("sum across restart = %g", got)
+	}
+	// The record holds the two primes and nothing derivable from them.
+	raw, ok, err := e.binding.Local.Get([]byte("paillierkey/obs"))
+	if err != nil || !ok {
+		t.Fatalf("stored key: ok=%v err=%v", ok, err)
+	}
+	var rec map[string][]byte
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec) != 2 || len(rec["p"]) != paillier.KeyBits/16 || len(rec["q"]) != paillier.KeyBits/16 {
+		t.Fatalf("stored key fields = %v, want 512-bit p and q only", rec)
+	}
+}
+
+// TestStoredKeyWithoutPrimesFailsSetup: a record lacking p and q must fail
+// Setup naming the schema, and must never be replaced by a new key, which
+// would orphan every stored ciphertext.
+func TestStoredKeyWithoutPrimesFailsSetup(t *testing.T) {
+	e := newEnv(t)
+	old := []byte(`{"n":"AQ==","lambda":"AQ==","mu":"AQ=="}`)
+	if err := e.binding.Local.Set([]byte("paillierkey/obs"), old); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := paillier.New(e.binding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = inst.Setup(context.Background())
+	if err == nil || !strings.Contains(err.Error(), `"obs"`) {
+		t.Fatalf("Setup = %v, want an error naming schema \"obs\"", err)
+	}
+	raw, _, _ := e.binding.Local.Get([]byte("paillierkey/obs"))
+	if !bytes.Equal(raw, old) {
+		t.Fatalf("stored key rewritten to %s", raw)
+	}
+}
+
+// TestSumWithoutFieldIsCountZero: a cloud sum over ids none of which have
+// the field replies with the trivial ciphertext 1 and count 0, and the
+// gateway decodes 0.
+func TestSumWithoutFieldIsCountZero(t *testing.T) {
+	e := newEnv(t)
+	inst := instance(t, e)
+	ctx := context.Background()
+	if err := inst.(spi.Inserter).Insert(ctx, "other", "d1", 5.0); err != nil {
+		t.Fatal(err)
+	}
+	var reply paillier.SumReply
+	if err := e.binding.Cloud.Call(ctx, paillier.Service, "sum",
+		paillier.SumArgs{Schema: "obs", Field: "v", DocIDs: []string{"d1", "d2"}}, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if reply.Count != 0 || !bytes.Equal(reply.CT, []byte{1}) {
+		t.Fatalf("reply = %x count %d, want 01 count 0", reply.CT, reply.Count)
+	}
+	for _, a := range []model.Agg{model.AggSum, model.AggAvg} {
+		got, err := inst.(spi.Aggregator).Aggregate(ctx, "v", a, []string{"d1", "d2"})
+		if err != nil || got != 0 {
+			t.Fatalf("%s over docs without the field = %g, %v", a, got, err)
+		}
 	}
 }
 
