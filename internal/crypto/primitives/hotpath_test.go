@@ -47,6 +47,43 @@ func TestPRFMatchesBaseline(t *testing.T) {
 	}
 }
 
+// TestKeyedPRFMatchesPRF pins KeyedPRF.Sum to PRF over random keys, with
+// several inputs summed in sequence on one instance (each Sum must start
+// from a clean keyed state), multi-slice and empty data, and a dst that
+// already holds a prefix.
+func TestKeyedPRFMatchesPRF(t *testing.T) {
+	inputs := [][][]byte{
+		{[]byte("t"), Uint64Bytes(0)},
+		{[]byte("t"), Uint64Bytes(1)},
+		{[]byte("namespace"), {0}, []byte("keyword"), {}},
+		{},
+		{{}},
+		{[]byte("p"), Uint64Bytes(1 << 40)},
+		{[]byte("t"), Uint64Bytes(0)}, // repeat of the first input
+	}
+	for k := 0; k < 8; k++ {
+		key, err := NewRandomKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prf := NewKeyedPRF(key)
+		for i, in := range inputs {
+			want := stdlibPRF(key, in...)
+			if got := PRF(key, in...); !bytes.Equal(got, want) {
+				t.Fatalf("key %d input %d: PRF = %x, want %x", k, i, got, want)
+			}
+			if got := prf.Sum(nil, in...); !bytes.Equal(got, want) {
+				t.Fatalf("key %d input %d: KeyedPRF.Sum = %x, want %x", k, i, got, want)
+			}
+			prefix := []byte("prefix")
+			out := prf.Sum(append([]byte(nil), prefix...), in...)
+			if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], want) {
+				t.Fatalf("key %d input %d: KeyedPRF.Sum with prefix = %x", k, i, out)
+			}
+		}
+	}
+}
+
 func mustHex(t *testing.T, s string) []byte {
 	t.Helper()
 	b, err := hex.DecodeString(s)
@@ -125,8 +162,8 @@ func TestSealIntoRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHotPathAllocs pins the allocation counts of the PRF, AEAD.Seal and
-// DET.Encrypt hot paths so regressions show up as test failures rather
+// TestHotPathAllocs pins the allocation counts of the PRF, KeyedPRF,
+// AEAD.Seal and DET.Encrypt hot paths so regressions show up as test failures rather
 // than as GC pressure in production. The ceilings account for two costs
 // outside this package's control: the variadic data slice (1 alloc) and
 // one internal allocation in the stdlib's GCM Seal. Skipped under -race,
@@ -149,6 +186,14 @@ func TestHotPathAllocs(t *testing.T) {
 		PRFInto(buf, key, data)
 	}); got > 1 {
 		t.Errorf("PRFInto allocs/op = %.1f, want <= 1", got)
+	}
+	// KeyedPRF.Sum with a caller buffer: nothing. Sum is small enough to
+	// inline, so even the variadic slice stays on the caller's stack.
+	keyed := NewKeyedPRF(key)
+	if got := testing.AllocsPerRun(200, func() {
+		keyed.Sum(buf, data)
+	}); got > 0 {
+		t.Errorf("KeyedPRF.Sum allocs/op = %.1f, want 0", got)
 	}
 	// PRF (allocating variant): variadic slice + output slice.
 	if got := testing.AllocsPerRun(200, func() {

@@ -144,6 +144,29 @@ func PRFInto(dst []byte, key Key, data ...[]byte) []byte {
 	return out
 }
 
+// KeyedPRF is the PRF under one key, keyed once and Reset per input, for
+// loops that evaluate many inputs under the same key: it skips the pool
+// lookup, and the fresh HMAC the pool falls back to, on every input. A
+// KeyedPRF is not safe for concurrent use.
+type KeyedPRF struct {
+	mac hash.Hash
+}
+
+// NewKeyedPRF keys an HMAC-SHA256 state with key.
+func NewKeyedPRF(key Key) *KeyedPRF {
+	return &KeyedPRF{mac: hmac.New(sha256.New, key[:])}
+}
+
+// Sum appends PRF(key, data...) to dst and returns the extended slice;
+// the output is byte-identical to PRFInto(dst, key, data...).
+func (p *KeyedPRF) Sum(dst []byte, data ...[]byte) []byte {
+	p.mac.Reset()
+	for _, d := range data {
+		p.mac.Write(d)
+	}
+	return p.mac.Sum(dst)
+}
+
 // PRFKey derives a sub-Key via the PRF. It is a convenience for building
 // per-keyword or per-field key hierarchies.
 func PRFKey(key Key, data ...[]byte) Key {

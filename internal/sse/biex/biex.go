@@ -291,11 +291,9 @@ func bucketKeyword(w string, b uint64) string {
 }
 
 // Entries is the batch of server updates produced by one client operation.
-// Cross pair cells ship packed (CrossPacked); the per-cell Cross form is
-// retained for wire compatibility with writers that predate packing.
+// Cross pair cells ship packed (CrossPacked).
 type Entries struct {
 	Global      []emm.Entry       `json:"global,omitempty"`
-	Cross       []emm.Entry       `json:"cross,omitempty"`
 	CrossPacked []PackedEntry     `json:"cross_packed,omitempty"`
 	Filter      []zmf.UpdateEntry `json:"filter,omitempty"`
 }
@@ -304,7 +302,7 @@ type Entries struct {
 // by their contents — the unit a node's multimap insert work scales with,
 // regardless of how the cells were framed.
 func (e Entries) Cells() int {
-	n := len(e.Global) + len(e.Cross) + len(e.Filter)
+	n := len(e.Global) + len(e.Filter)
 	for _, p := range e.CrossPacked {
 		n += p.Count
 	}
@@ -315,7 +313,7 @@ func (e Entries) Cells() int {
 // framing the packed form compresses: a k-keyword document's O(k²) pair
 // cells collapse into O(1) packed entries per shard.
 func (e Entries) WireEntries() int {
-	return len(e.Global) + len(e.Cross) + len(e.CrossPacked) + len(e.Filter)
+	return len(e.Global) + len(e.CrossPacked) + len(e.Filter)
 }
 
 // PackedEntry ships n same-shaped multimap cells as two concatenated
@@ -797,9 +795,6 @@ func (s *Server) Insert(e Entries) error {
 	if err := s.global.Insert(e.Global); err != nil {
 		return err
 	}
-	if err := s.cross.Insert(e.Cross); err != nil {
-		return err
-	}
 	if len(e.CrossPacked) > 0 {
 		cells, err := UnpackEntries(e.CrossPacked)
 		if err != nil {
@@ -812,13 +807,26 @@ func (s *Server) Insert(e Entries) error {
 	return s.filters.Apply(e.Filter)
 }
 
+// crossKey identifies a pair constraint by its whole token.
+type crossKey struct {
+	addrKey, valueKey string
+	counts            emm.Counts
+}
+
 // Search executes the DNF token and returns versioned ids (the union of
 // the conjunction results). The gateway must Resolve them.
+//
+// The conjunctions of one request often repeat a pair constraint: a
+// spilled anchor's buckets all carry the same pair token, and so do DNF
+// clauses sharing a literal. Each distinct pair token is enumerated once
+// per call; its pair-id set is kept for the rest of the call and the
+// constraint's negation is applied per conjunction.
 func (s *Server) Search(tok SearchToken) ([]string, error) {
 	union := make(map[string]bool)
+	pairs := make(map[crossKey]map[string]bool)
 	var order []string
 	for _, conj := range tok.Conjunctions {
-		ids, err := s.searchConj(conj)
+		ids, err := s.searchConj(conj, pairs)
 		if err != nil {
 			return nil, err
 		}
@@ -833,7 +841,7 @@ func (s *Server) Search(tok SearchToken) ([]string, error) {
 	return order, nil
 }
 
-func (s *Server) searchConj(conj ConjToken) ([]string, error) {
+func (s *Server) searchConj(conj ConjToken, pairs map[crossKey]map[string]bool) ([]string, error) {
 	candidates, err := s.global.Search(conj.Anchor)
 	if err != nil {
 		return nil, err
@@ -844,13 +852,18 @@ func (s *Server) searchConj(conj ConjToken) ([]string, error) {
 		}
 		switch {
 		case con.Cross != nil:
-			pairIDs, err := s.cross.Search(*con.Cross)
-			if err != nil {
-				return nil, err
-			}
-			inPair := make(map[string]bool, len(pairIDs))
-			for _, id := range pairIDs {
-				inPair[id] = true
+			k := crossKey{string(con.Cross.AddrKey), string(con.Cross.ValueKey), con.Cross.Counts}
+			inPair, ok := pairs[k]
+			if !ok {
+				pairIDs, err := s.cross.Search(*con.Cross)
+				if err != nil {
+					return nil, err
+				}
+				inPair = make(map[string]bool, len(pairIDs))
+				for _, id := range pairIDs {
+					inPair[id] = true
+				}
+				pairs[k] = inPair
 			}
 			candidates = filterIDs(candidates, func(id string) bool {
 				return inPair[id] != con.Negated

@@ -298,6 +298,54 @@ func TestVariantsAgreeQuick(t *testing.T) {
 	}
 }
 
+// oracle evaluates q over a plaintext corpus (id -> keywords) and returns
+// the matching ids, sorted.
+func oracle(docs map[string][]string, q Query) []string {
+	var out []string
+	for id, kws := range docs {
+		has := make(map[string]bool, len(kws))
+		for _, w := range kws {
+			has[w] = true
+		}
+		for _, conj := range q {
+			match := true
+			for _, l := range conj {
+				if has[l.Keyword] == l.Negated {
+					match = false
+					break
+				}
+			}
+			if match {
+				out = append(out, id)
+				break
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// sharedPairQueries anchor on the hot keyword status=final, whose
+// conjunctions fan out over its spill buckets and so repeat each pair
+// constraint within one Search. A server that shared anything across
+// conjunctions other than a pair constraint's id set (a conjunction's
+// filtered candidates, say) answers them wrongly.
+var sharedPairQueries = []Query{
+	// Hot anchor AND NOT a pair keyword.
+	{{pos("status=final"), neg("mod=0")}},
+	// Two clauses sharing the pair constraint (final, mod=1), negated in
+	// the second.
+	{{pos("status=final"), pos("mod=1")}, {pos("status=final"), neg("mod=1"), pos("par=0")}},
+	// One anchor, two different pair constraints.
+	{{pos("status=final"), pos("par=0"), neg("mod=2")}},
+}
+
+// hotKeywords are the keywords of the i-th document of a hot
+// status=final corpus, as sharedPairQueries expect.
+func hotKeywords(i int) []string {
+	return []string{"status=final", fmt.Sprintf("seq=%03d", i), fmt.Sprintf("mod=%d", i%3), fmt.Sprintf("par=%d", i%2)}
+}
+
 func runQuiet(c *Client, s *Server, q Query) []string {
 	tok, err := c.Token("obs", q)
 	if err != nil {
@@ -318,7 +366,7 @@ func runQuiet(c *Client, s *Server, q Query) []string {
 // directly: the same corpus lands on one server via SingleShard and on
 // three servers via a hash of the routing label, and every query — routed
 // per conjunction to the shard owning its anchor's label, results merged
-// — must agree with the single-server run.
+// — must agree, like the single-server run, with a plaintext oracle.
 func TestPartitionedMatchesSingleServer(t *testing.T) {
 	variants(t, func(t *testing.T, v Variant) {
 		key, err := primitives.NewRandomKey()
@@ -357,6 +405,9 @@ func TestPartitionedMatchesSingleServer(t *testing.T) {
 			"d4": {"status=final", "code=insulin", "interp=high"},
 			"d5": {"status=final"},
 		}
+		for i := 0; i < SpillThreshold*2; i++ { // status=final spills into 3 buckets
+			docs[fmt.Sprintf("h%03d", i)] = hotKeywords(i)
+		}
 		touched := make(map[int]bool)
 		for id, kws := range docs {
 			insert(t, single, ss, id, kws...)
@@ -373,6 +424,9 @@ func TestPartitionedMatchesSingleServer(t *testing.T) {
 		}
 		if len(touched) < 2 {
 			t.Fatalf("entries landed on %d shards — partitioning is not spreading", len(touched))
+		}
+		if n, _ := parted.Buckets("obs", "status=final"); n != 3 {
+			t.Fatalf("Buckets(status=final) = %d, want 3", n)
 		}
 
 		runParted := func(q Query) []string {
@@ -423,11 +477,13 @@ func TestPartitionedMatchesSingleServer(t *testing.T) {
 			{{pos("code=never")}},
 			{{pos("status=draft"), pos("code=insulin")}},
 		}
-		for i, q := range queries {
-			want := run(t, single, ss, q)
-			got := runParted(q)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("query %d: partitioned %v != single %v", i, got, want)
+		for i, q := range append(queries, sharedPairQueries...) {
+			want := oracle(docs, q)
+			if got := run(t, single, ss, q); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("query %d: single %v != oracle %v", i, got, want)
+			}
+			if got := runParted(q); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("query %d: partitioned %v != oracle %v", i, got, want)
 			}
 		}
 	})
@@ -452,17 +508,21 @@ func TestBucketRouteStableAndScoped(t *testing.T) {
 // TestSpillFansHotKeywordAcrossBuckets drives one keyword past several
 // spill thresholds and checks (a) the query fans one ConjToken per
 // bucket, each with a distinct route, (b) the union over bucket slices
-// equals the full corpus, and (c) a cold keyword stays single-bucket.
+// equals the full corpus, (c) a cold keyword stays single-bucket, and
+// (d) conjunctions repeating a pair constraint within one Search match a
+// plaintext oracle.
 func TestSpillFansHotKeywordAcrossBuckets(t *testing.T) {
 	for _, v := range []Variant{Variant2Lev, VariantZMF} {
 		t.Run(string(v), func(t *testing.T) {
 			c, s := setup(t, v)
 			const docs = SpillThreshold*2 + 5 // 3 buckets
 			var want []string
+			corpus := make(map[string][]string, docs)
 			for i := 0; i < docs; i++ {
 				id := fmt.Sprintf("d%03d", i)
 				want = append(want, id)
-				insert(t, c, s, id, "status=final", fmt.Sprintf("seq=%03d", i))
+				corpus[id] = hotKeywords(i)
+				insert(t, c, s, id, corpus[id]...)
 			}
 			if n, _ := c.Buckets("obs", "status=final"); n != 3 {
 				t.Fatalf("Buckets(hot) = %d, want 3", n)
@@ -492,6 +552,11 @@ func TestSpillFansHotKeywordAcrossBuckets(t *testing.T) {
 			got = run(t, c, s, Query{{pos("status=final"), pos(fmt.Sprintf("seq=%03d", docs-1))}})
 			if fmt.Sprint(got) != fmt.Sprint([]string{fmt.Sprintf("d%03d", docs-1)}) {
 				t.Fatalf("conjunction across spill = %v", got)
+			}
+			for i, q := range sharedPairQueries {
+				if got, want := run(t, c, s, q), oracle(corpus, q); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("shared-pair query %d = %v, want %v", i, got, want)
+				}
 			}
 		})
 	}
@@ -564,6 +629,43 @@ func benchConjunction(b *testing.B, v Variant) {
 
 func BenchmarkConjunction2Lev(b *testing.B) { benchConjunction(b, Variant2Lev) }
 func BenchmarkConjunctionZMF(b *testing.B)  { benchConjunction(b, VariantZMF) }
+
+// benchConjunctionSpilled times the server half of a conjunction whose
+// anchor spans five spill buckets on one server, so one Search carries
+// five conjunctions with the same constraint: for 2Lev, a pair token
+// enumerated once per Search; for ZMF (the control), a filter token
+// probed per conjunction.
+func benchConjunctionSpilled(b *testing.B, v Variant) {
+	c, s := setup(b, v)
+	for i := 0; i < 4*SpillThreshold+1; i++ {
+		kws := []string{"common"}
+		if i%4 == 0 {
+			kws = append(kws, "tagged")
+		}
+		insert(b, c, s, fmt.Sprintf("d%d", i), kws...)
+	}
+	tok, err := c.Token("obs", Query{{pos("common"), pos("tagged")}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(tok.Conjunctions) < 4 {
+		b.Fatalf("%d conjunctions, want >= 4", len(tok.Conjunctions))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vids, err := s.Search(tok)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(vids) != SpillThreshold+1 {
+			b.Fatalf("%d results, want %d", len(vids), SpillThreshold+1)
+		}
+	}
+}
+
+func BenchmarkConjunctionSpilled2Lev(b *testing.B) { benchConjunctionSpilled(b, Variant2Lev) }
+func BenchmarkConjunctionSpilledZMF(b *testing.B)  { benchConjunctionSpilled(b, VariantZMF) }
 
 func TestPairCellsShareSealedPayload(t *testing.T) {
 	c, s := setup(t, Variant2Lev)

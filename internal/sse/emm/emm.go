@@ -195,19 +195,16 @@ func (c *Client) keywordKeys(namespace, w string) (addr, val primitives.Key) {
 	return addr, val
 }
 
-func (c *Client) addrKey(namespace, w string) primitives.Key {
-	addr, _ := c.keywordKeys(namespace, w)
-	return addr
-}
+// Address levels: dynamic tail cells and packed buckets.
+var (
+	tailLevel   = []byte("t")
+	packedLevel = []byte("p")
+)
 
-// tailAddr computes the address of tail cell i.
-func tailAddr(addrKey primitives.Key, i uint64) []byte {
-	return primitives.PRF(addrKey, []byte("t"), primitives.Uint64Bytes(i))
-}
-
-// packedAddr computes the address of packed bucket j.
-func packedAddr(addrKey primitives.Key, j uint64) []byte {
-	return primitives.PRF(addrKey, []byte("p"), primitives.Uint64Bytes(j))
+// cellAddr appends the address of cell i on level to dst:
+// PRF(addrKey, level || i), with ak keyed by the keyword's address key.
+func cellAddr(dst []byte, ak *primitives.KeyedPRF, level []byte, i uint64) []byte {
+	return ak.Sum(dst, level, primitives.Uint64Bytes(i))
 }
 
 // aeads caches constructed AEADs per value key: cipher construction (key
@@ -233,8 +230,10 @@ func sealIDs(valueKey primitives.Key, ids []string) ([]byte, error) {
 	return aead.Seal(pt, nil)
 }
 
-func openIDs(valueKey primitives.Key, blob []byte) ([]string, error) {
-	if ids, ok := openShared(valueKey, blob); ok {
+// openIDs opens a cell under valueKey; pads is keyed by valueKey too and
+// unwraps shared-payload cells.
+func openIDs(valueKey primitives.Key, pads *primitives.KeyedPRF, blob []byte) ([]string, error) {
+	if ids, ok := openShared(pads, blob); ok {
 		return ids, nil
 	}
 	aead, err := aeadFor(valueKey)
@@ -293,7 +292,7 @@ func (c *Client) AppendAddr(namespace, w string) ([]byte, primitives.Key, error)
 	if err != nil {
 		return nil, primitives.Key{}, err
 	}
-	return tailAddr(ak, i), vk, nil
+	return cellAddr(nil, primitives.NewKeyedPRF(ak), tailLevel, i), vk, nil
 }
 
 // SealSharedIDs seals one identifier list under an ephemeral group key.
@@ -316,10 +315,11 @@ func SharedValue(wrap, nonce, shared []byte) []byte {
 	return append(out, shared...)
 }
 
-// openShared attempts to open blob as a shared-payload cell; ok=false
-// means "not that form" (wrong magic, short, or failed authentication)
-// and the caller should try the legacy form.
-func openShared(valueKey primitives.Key, blob []byte) ([]string, bool) {
+// openShared attempts to open blob as a shared-payload cell, unwrapping
+// under pads (keyed by the cell's value key); ok=false means "not that
+// form" (wrong magic, short, or failed authentication) and the caller
+// should try the legacy form.
+func openShared(pads *primitives.KeyedPRF, blob []byte) ([]string, bool) {
 	minLen := 1 + SharedWrapLen + SharedNonceLen + primitives.NonceSize + primitives.TagSize
 	if len(blob) < minLen || blob[0] != sharedMagic {
 		return nil, false
@@ -327,7 +327,8 @@ func openShared(valueKey primitives.Key, blob []byte) ([]string, bool) {
 	wrap := blob[1 : 1+SharedWrapLen]
 	nonce := blob[1+SharedWrapLen : 1+SharedWrapLen+SharedNonceLen]
 	shared := blob[1+SharedWrapLen+SharedNonceLen:]
-	pad := primitives.PRF(valueKey, sharedLabel, nonce)
+	var padBuf [primitives.PRFSize]byte
+	pad := pads.Sum(padBuf[:0], sharedLabel, nonce)
 	kd, err := primitives.KeyFromBytes(primitives.XOR(pad[:primitives.KeySize], wrap))
 	if err != nil {
 		return nil, false
@@ -360,7 +361,7 @@ func (c *Client) Append(namespace, w, id string) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	return Entry{Addr: tailAddr(ak, i), Val: val}, nil
+	return Entry{Addr: cellAddr(nil, primitives.NewKeyedPRF(ak), tailLevel, i), Val: val}, nil
 }
 
 // BuildPacked seals a full identifier list for w into packed buckets,
@@ -373,6 +374,7 @@ func (c *Client) BuildPacked(namespace, w string, ids []string) (entries []Entry
 		return nil, Counts{}, Counts{}, err
 	}
 	ak, vk := c.keywordKeys(namespace, w)
+	addrs := primitives.NewKeyedPRF(ak)
 	for j := 0; j*BucketCapacity < len(ids) || (j == 0 && len(ids) == 0); j++ {
 		loEnd := j * BucketCapacity
 		hiEnd := loEnd + BucketCapacity
@@ -383,7 +385,7 @@ func (c *Client) BuildPacked(namespace, w string, ids []string) (entries []Entry
 		if err != nil {
 			return nil, Counts{}, Counts{}, err
 		}
-		entries = append(entries, Entry{Addr: packedAddr(ak, uint64(j)), Val: val})
+		entries = append(entries, Entry{Addr: cellAddr(nil, addrs, packedLevel, uint64(j)), Val: val})
 		if hiEnd == len(ids) {
 			break
 		}
@@ -408,31 +410,32 @@ func (c *Client) Token(namespace, w string) (SearchToken, error) {
 // StaleAddrs enumerates the server addresses occupied by the given counts
 // for w; Rebuild uses it to garbage-collect replaced cells.
 func (c *Client) StaleAddrs(namespace, w string, counts Counts) [][]byte {
-	ak := c.addrKey(namespace, w)
+	ak, _ := c.keywordKeys(namespace, w)
+	prf := primitives.NewKeyedPRF(ak)
 	addrs := make([][]byte, 0, counts.Packed+counts.Tail)
 	for j := uint64(0); j < counts.Packed; j++ {
-		addrs = append(addrs, packedAddr(ak, j))
+		addrs = append(addrs, cellAddr(nil, prf, packedLevel, j))
 	}
 	for i := uint64(0); i < counts.Tail; i++ {
-		addrs = append(addrs, tailAddr(ak, i))
+		addrs = append(addrs, cellAddr(nil, prf, tailLevel, i))
 	}
 	return addrs
 }
 
 // Server is the cloud half of the EMM: an opaque cell store.
 type Server struct {
-	store     *kvstore.Store
-	namespace string
+	store  *kvstore.Store
+	prefix string // "emm/<namespace>/", prepended to every cell address
 }
 
 // NewServer builds a server over store. namespace isolates multiple EMMs
 // (e.g. the BIEX global and cross multimaps) in one store.
 func NewServer(store *kvstore.Store, namespace string) *Server {
-	return &Server{store: store, namespace: namespace}
+	return &Server{store: store, prefix: "emm/" + namespace + "/"}
 }
 
 func (s *Server) cellKey(addr []byte) []byte {
-	return append([]byte("emm/"+s.namespace+"/"), addr...)
+	return append([]byte(s.prefix), addr...)
 }
 
 // Insert stores encrypted cells.
@@ -457,7 +460,8 @@ func (s *Server) Delete(addrs [][]byte) error {
 
 // Search resolves a token to the identifier list. Missing cells are
 // tolerated (they may have been garbage-collected mid-rebuild); corrupt
-// cells are an error.
+// cells are an error. The token's two keys are each keyed into a PRF
+// once per call, and every cell key is built in one reused buffer.
 func (s *Server) Search(t SearchToken) ([]string, error) {
 	ak, err := primitives.KeyFromBytes(t.AddrKey)
 	if err != nil {
@@ -467,16 +471,19 @@ func (s *Server) Search(t SearchToken) ([]string, error) {
 	if err != nil {
 		return nil, ErrBadToken
 	}
+	addrs, pads := primitives.NewKeyedPRF(ak), primitives.NewKeyedPRF(vk)
+	key := []byte(s.prefix)
 	var ids []string
-	fetch := func(addr []byte) error {
-		val, ok, err := s.store.Get(s.cellKey(addr))
+	fetch := func(level []byte, i uint64) error {
+		key = cellAddr(key[:len(s.prefix)], addrs, level, i)
+		val, ok, err := s.store.Get(key)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			return nil
 		}
-		cell, err := openIDs(vk, val)
+		cell, err := openIDs(vk, pads, val)
 		if err != nil {
 			return fmt.Errorf("emm: opening cell: %w", err)
 		}
@@ -484,12 +491,12 @@ func (s *Server) Search(t SearchToken) ([]string, error) {
 		return nil
 	}
 	for j := uint64(0); j < t.Counts.Packed; j++ {
-		if err := fetch(packedAddr(ak, j)); err != nil {
+		if err := fetch(packedLevel, j); err != nil {
 			return nil, err
 		}
 	}
 	for i := uint64(0); i < t.Counts.Tail; i++ {
-		if err := fetch(tailAddr(ak, i)); err != nil {
+		if err := fetch(tailLevel, i); err != nil {
 			return nil, err
 		}
 	}

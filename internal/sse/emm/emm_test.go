@@ -372,3 +372,68 @@ func TestSharedCellWrongKeyFailsClosed(t *testing.T) {
 		t.Fatal("Search with mis-wrapped shared cell succeeded, want error")
 	}
 }
+
+// TestKeyedAddrsMatchPRF pins every keyed address enumeration to the
+// address definition PRF(addrKey, "t"|"p", Uint64Bytes(i)): the client's
+// AppendAddr, BuildPacked and StaleAddrs, and the server's Search, which
+// must find cells placed at exactly those addresses.
+func TestKeyedAddrsMatchPRF(t *testing.T) {
+	c, s := setup(t)
+	ak, vk := c.keywordKeys("ns", "w")
+	want := func(level string, i uint64) []byte {
+		return primitives.PRF(ak, []byte(level), primitives.Uint64Bytes(i))
+	}
+	prf := primitives.NewKeyedPRF(ak)
+	for _, i := range []uint64{0, 1, 2, 255, 256, 1 << 40} {
+		if got := cellAddr(nil, prf, tailLevel, i); !reflect.DeepEqual(got, want("t", i)) {
+			t.Fatalf("tail address %d = %x, want %x", i, got, want("t", i))
+		}
+		if got := cellAddr(nil, prf, packedLevel, i); !reflect.DeepEqual(got, want("p", i)) {
+			t.Fatalf("packed address %d = %x, want %x", i, got, want("p", i))
+		}
+	}
+
+	ids := make([]string, 2*BucketCapacity+1)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("d%02d", i)
+	}
+	entries, _, nu, err := c.BuildPacked("ns", "w", ids)
+	if err != nil {
+		t.Fatalf("BuildPacked: %v", err)
+	}
+	for j, e := range entries {
+		if !reflect.DeepEqual(e.Addr, want("p", uint64(j))) {
+			t.Fatalf("BuildPacked bucket %d at %x, want %x", j, e.Addr, want("p", uint64(j)))
+		}
+	}
+	addr, _, err := c.AppendAddr("ns", "w")
+	if err != nil {
+		t.Fatalf("AppendAddr: %v", err)
+	}
+	if !reflect.DeepEqual(addr, want("t", 0)) {
+		t.Fatalf("AppendAddr = %x, want %x", addr, want("t", 0))
+	}
+	stale := c.StaleAddrs("ns", "w", Counts{Packed: nu.Packed, Tail: 2})
+	wantStale := [][]byte{want("p", 0), want("p", 1), want("p", 2), want("t", 0), want("t", 1)}
+	if !reflect.DeepEqual(stale, wantStale) {
+		t.Fatalf("StaleAddrs = %x, want %x", stale, wantStale)
+	}
+
+	// Server side: cells placed by the definition are the ones Search finds.
+	for i, id := range []string{"x0", "x1"} {
+		val, err := sealIDs(vk, []string{id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Insert([]Entry{{Addr: want("t", uint64(i)), Val: val}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := s.Search(SearchToken{AddrKey: ak[:], ValueKey: vk[:], Counts: Counts{Tail: 2}})
+	if err != nil {
+		t.Fatalf("Search: %v", err)
+	}
+	if !reflect.DeepEqual(got, []string{"x0", "x1"}) {
+		t.Fatalf("Search over PRF-placed cells = %v", got)
+	}
+}
