@@ -56,10 +56,9 @@ func main() {
 	cloudAddr := flag.String("cloud", "127.0.0.1:7700", "cloudserver address (single node)")
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated sharded cloud tier addresses (overrides -cloud; order is positional shard identity)")
 	keyPath := flag.String("key", "datablinder-master.key", "master key file (created if absent)")
-	statePath := flag.String("state", "datablinder-gateway.aof", "gateway state directory (a v1 state file at this path is migrated)")
+	statePath := flag.String("state", "datablinder-gateway.aof", "gateway state directory (a write-ahead log, created if absent)")
 	fsync := flag.String("fsync", "interval", "state WAL durability policy: always, interval, never")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
-	wireJSON := flag.Bool("wire-json", false, "pin the cloud channel to v1 JSON framing instead of negotiating the binary wire codec")
 	planner := flag.Bool("planner", false, "cost-based tactic selection: pick the cheapest tactic within each field's leakage budget")
 	flag.Parse()
 
@@ -77,12 +76,11 @@ func main() {
 	defer cancel()
 
 	opts := datablinder.Options{
-		MasterKeyPath:     *keyPath,
-		CreateKey:         true,
-		LocalStatePath:    *statePath,
-		FsyncPolicy:       *fsync,
-		DisableBinaryWire: *wireJSON,
-		Planner:           *planner,
+		MasterKeyPath:  *keyPath,
+		CreateKey:      true,
+		LocalStatePath: *statePath,
+		FsyncPolicy:    *fsync,
+		Planner:        *planner,
 	}
 	if *shardAddrs != "" {
 		for _, addr := range strings.Split(*shardAddrs, ",") {

@@ -186,13 +186,6 @@ type Options struct {
 	// (0 = ring.DefaultVirtualNodes). All gateways of one deployment must
 	// agree on it.
 	VirtualNodes int
-	// DisableBinaryWire pins the gateway↔cloud channel to the v1 JSON
-	// framing instead of negotiating the binary wire codec (see README
-	// "Wire protocol"). Binary is on by default; disable it only for
-	// debugging or A/B benchmarking — servers that lack v2 fall back to
-	// JSON automatically, no pinning needed.
-	DisableBinaryWire bool
-
 	// MasterKeyPath loads (or, with CreateKey, creates) the gateway master
 	// key file. Empty means an ephemeral random key.
 	MasterKeyPath string
@@ -202,8 +195,7 @@ type Options struct {
 	CreateKey bool
 
 	// LocalStatePath enables WAL persistence of gateway state (tactic
-	// counters, schemas). Empty means in-memory. A v1 text AOF at this
-	// path is migrated on first open.
+	// counters, schemas). Empty means in-memory.
 	LocalStatePath string
 
 	// CloudKVPath / CloudDocDir enable persistence for the in-process
@@ -315,11 +307,7 @@ func Open(ctx context.Context, opts Options) (*Client, error) {
 				return nil, err
 			}
 			client.nodes = append(client.nodes, node)
-			if opts.DisableBinaryWire {
-				conns = append(conns, transport.NewLoopbackJSON(node.Mux))
-			} else {
-				conns = append(conns, transport.NewLoopback(node.Mux))
-			}
+			conns = append(conns, transport.NewLoopback(node.Mux))
 		}
 		client.conn = shardConn(conns, opts.VirtualNodes)
 	} else {
@@ -329,10 +317,7 @@ func Open(ctx context.Context, opts Options) (*Client, error) {
 		}
 		conns := make([]transport.Conn, 0, len(addrs))
 		for _, addr := range addrs {
-			conn, err := transport.Dial(addr, transport.DialOptions{
-				PoolSize:      opts.PoolSize,
-				DisableBinary: opts.DisableBinaryWire,
-			})
+			conn, err := transport.Dial(addr, transport.DialOptions{PoolSize: opts.PoolSize})
 			if err != nil {
 				for _, c := range conns {
 					c.Close()

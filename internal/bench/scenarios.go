@@ -17,7 +17,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"sync/atomic"
 	"time"
 
@@ -49,7 +48,9 @@ type App interface {
 	AverageWhere(ctx context.Context, whereField string, whereValue any) (float64, error)
 }
 
-// delayConn simulates network round-trip latency per RPC.
+// delayConn simulates network round-trip latency per RPC. It needs no
+// CallBatch: transport.CallBatch hands it one Call per batch frame, so a
+// batch pays one round trip per frame like the TCP path.
 type delayConn struct {
 	transport.Conn
 	delay time.Duration
@@ -66,6 +67,10 @@ func (c delayConn) Call(ctx context.Context, service, method string, args, reply
 	return c.Conn.Call(ctx, service, method, args, reply)
 }
 
+// WireCodec reports the wrapped connection's codec, so callers encode for
+// the wire the calls actually take.
+func (c delayConn) WireCodec() transport.WireCodec { return transport.ConnCodec(c.Conn) }
+
 // countingConn counts logical index-service operations (everything except
 // the document service), reproducing the paper's "~350k secure index
 // operations" stat. A transport batch counts as its index sub-calls, not
@@ -77,21 +82,25 @@ type countingConn struct {
 }
 
 func (c countingConn) Call(ctx context.Context, service, method string, args, reply any) error {
-	switch {
-	case service == transport.BatchService:
-		if v := reflect.ValueOf(args); v.Kind() == reflect.Slice {
-			for i := 0; i < v.Len(); i++ {
-				sub := reflect.Indirect(v.Index(i)).FieldByName("Service")
-				if !sub.IsValid() || sub.String() != cloud.DocService {
-					atomic.AddInt64(c.indexOps, 1)
-				}
-			}
-		}
-	case service != cloud.DocService:
+	if service != cloud.DocService {
 		atomic.AddInt64(c.indexOps, 1)
 	}
 	return c.Conn.Call(ctx, service, method, args, reply)
 }
+
+// CallBatch implements transport.BatchCaller: it counts the batch's index
+// sub-calls and hands the batch to the wrapped connection's framing.
+func (c countingConn) CallBatch(ctx context.Context, calls []transport.BatchCall) ([]transport.BatchResult, error) {
+	for _, call := range calls {
+		if call.Service != cloud.DocService {
+			atomic.AddInt64(c.indexOps, 1)
+		}
+	}
+	return transport.CallBatch(ctx, c.Conn, calls)
+}
+
+// WireCodec reports the wrapped connection's codec.
+func (c countingConn) WireCodec() transport.WireCodec { return transport.ConnCodec(c.Conn) }
 
 // detFields are the five DET-protected fields of the benchmark schema.
 var detFields = []string{"status", "code", "effective", "issued", "value"}

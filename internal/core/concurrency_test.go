@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -142,5 +144,115 @@ func TestAggregateWithComplexWhere(t *testing.T) {
 	want := 11.0 + 7.9 // f004 (insulin) + f003 (draft)
 	if d := sum - want; d > 1e-6 || d < -1e-6 {
 		t.Fatalf("sum = %g, want %g", sum, want)
+	}
+}
+
+// TestConcurrentUpdatesLeaveNoStaleIndexEntries: 8 updaters race on one
+// document for 20 rounds, each writing a subject of its own. Afterwards
+// only the stored subject may find the document: an index entry for a
+// superseded subject is a wrong result, and it reveals an old value.
+func TestConcurrentUpdatesLeaveNoStaleIndexEntries(t *testing.T) {
+	env := registeredEnv(t)
+	seed(t, env)
+	ctx := context.Background()
+
+	const updaters, rounds = 8, 20
+	subject := func(u, r int) string { return fmt.Sprintf("subject-%d-%02d", u, r) }
+	var wg sync.WaitGroup
+	errs := make(chan error, updaters)
+	for u := 0; u < updaters; u++ {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				doc := obs("f001", "final", "glucose", subject(u, r), 1359966610, "john-smith", float64(r))
+				if err := env.engine.Update(ctx, "observation", doc); err != nil {
+					errs <- fmt.Errorf("updater %d round %d: %w", u, r, err)
+					return
+				}
+			}
+		}(u)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	got, err := env.engine.Get(ctx, "observation", "f001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := 0
+	for u := 0; u < updaters; u++ {
+		for r := 0; r < rounds; r++ {
+			v := subject(u, r)
+			ids, err := env.engine.SearchIDs(ctx, "observation", Eq{Field: "subject", Value: v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := slices.Contains(ids, "f001")
+			if v == got.Fields["subject"] && !found {
+				t.Fatalf("the stored subject %s does not find f001", v)
+			}
+			if v != got.Fields["subject"] && found {
+				stale++
+			}
+		}
+	}
+	if stale > 0 {
+		t.Fatalf("%d of %d superseded subjects still find f001", stale, updaters*rounds-1)
+	}
+}
+
+// TestUpdateRacingDeleteLeavesNoIndexEntries: an Update and a Delete of
+// one document race. In either serial order the document ends up deleted
+// (the Update either runs first or finds it missing), and neither its old
+// nor its new subject finds it.
+func TestUpdateRacingDeleteLeavesNoIndexEntries(t *testing.T) {
+	env := registeredEnv(t)
+	ctx := context.Background()
+	for r := 0; r < 20; r++ {
+		id := fmt.Sprintf("race-%02d", r)
+		oldSubject, newSubject := "old-"+id, "new-"+id
+		if _, err := env.engine.Insert(ctx, "observation",
+			obs(id, "draft", "insulin", oldSubject, 1359966610, "john-smith", 1)); err != nil {
+			t.Fatal(err)
+		}
+		var updErr, delErr error
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			updErr = env.engine.Update(ctx, "observation",
+				obs(id, "final", "glucose", newSubject, 1359966620, "john-smith", 2))
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			delErr = env.engine.Delete(ctx, "observation", id)
+		}()
+		close(start)
+		wg.Wait()
+		if delErr != nil {
+			t.Fatalf("round %d: Delete: %v", r, delErr)
+		}
+		if updErr != nil && !errors.Is(updErr, ErrDocumentMissing) {
+			t.Fatalf("round %d: Update: %v", r, updErr)
+		}
+		if _, err := env.engine.Get(ctx, "observation", id); !errors.Is(err, ErrDocumentMissing) {
+			t.Fatalf("round %d: %s survived its Delete (Get err %v, Update err %v)", r, id, err, updErr)
+		}
+		for _, v := range []string{oldSubject, newSubject} {
+			ids, err := env.engine.SearchIDs(ctx, "observation", Eq{Field: "subject", Value: v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slices.Contains(ids, id) {
+				t.Fatalf("round %d: subject %s still finds deleted %s", r, v, id)
+			}
+		}
 	}
 }

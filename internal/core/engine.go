@@ -985,18 +985,21 @@ func (e *Engine) Update(ctx context.Context, schema string, doc *model.Document)
 	if err := doc.ValidateAgainst(rt.schema); err != nil {
 		return err
 	}
-	old, err := e.Get(ctx, schema, doc.ID)
-	if err != nil {
-		return err
-	}
 
 	rt, release, err := e.writeRuntime(schema)
 	if err != nil {
 		return err
 	}
 	defer release()
+	// The old document is read under docMu: read outside it, a concurrent
+	// Update or Delete could replace it first, and this Update would remove
+	// index entries that are already gone while the winner's stay behind.
 	rt.docMu.Lock()
 	defer rt.docMu.Unlock()
+	old, err := e.Get(ctx, schema, doc.ID)
+	if err != nil {
+		return err
+	}
 	if err := e.indexDelete(ctx, rt, old, true); err != nil {
 		return err
 	}
@@ -1013,17 +1016,18 @@ func (e *Engine) Update(ctx context.Context, schema string, doc *model.Document)
 
 // Delete removes a document and all its index entries.
 func (e *Engine) Delete(ctx context.Context, schema, id string) error {
-	old, err := e.Get(ctx, schema, id)
-	if err != nil {
-		return err
-	}
 	rt, release, err := e.writeRuntime(schema)
 	if err != nil {
 		return err
 	}
 	defer release()
+	// As in Update, the old document is read under docMu.
 	rt.docMu.Lock()
 	defer rt.docMu.Unlock()
+	old, err := e.Get(ctx, schema, id)
+	if err != nil {
+		return err
+	}
 	if err := e.indexDelete(ctx, rt, old, true); err != nil {
 		return err
 	}

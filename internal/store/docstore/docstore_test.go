@@ -211,13 +211,41 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsCorruptSnapshot: a snapshot whose record fails its
+// checksum fails Open, and the snapshot file is left in place.
 func TestOpenRejectsCorruptSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "obs.json"), []byte("{not json"), 0o600); err != nil {
+	s, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil {
-		t.Fatal("Open accepted corrupt snapshot")
+	for i := 0; i < 20; i++ {
+		s.Put("obs", fmt.Sprintf("d%02d", i), []byte("blob"))
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if len(snaps) != 1 {
+		t.Fatalf("snapshots after Close: %v, want one", snaps)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(snaps[0], data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(dir); err == nil {
+		s.Close()
+		t.Fatal("Open accepted a corrupt snapshot")
+	}
+	if got, err := os.ReadFile(snaps[0]); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("corrupt snapshot changed by a failed Open: %v", err)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"datablinder/internal/wirefmt"
 )
 
 func TestSetGetDel(t *testing.T) {
@@ -295,31 +297,59 @@ func TestQuickSetGet(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsGarbage: recovery refuses a malformed log frame instead
+// of applying part of a mutation.
 func TestReplayRejectsGarbage(t *testing.T) {
 	s := New()
-	bad := []string{
-		"",
-		"SET",
-		"SET !!notbase64!! dg==",
-		"SET dg==",           // missing value
-		"HSET dg== dg==",     // missing value
-		"INCR dg== bm90bnVt", // non-numeric delta
-		"BOGUS dg== dg==",
+	key := wirefmt.AppendBytes(nil, []byte("k"))
+	frame := func(op byte, fields ...[]byte) []byte {
+		b := append([]byte{op}, key...)
+		for _, f := range fields {
+			b = append(b, f...)
+		}
+		return b
 	}
-	for _, rec := range bad {
-		if err := s.replay(rec); err == nil {
-			t.Errorf("replay(%q) succeeded, want error", rec)
+	bad := map[string][]byte{
+		"empty":           {},
+		"op zero":         frame(0),
+		"unknown op":      frame(opMax + 1),
+		"truncated key":   {opSet, 5, 'k'},
+		"missing value":   frame(opSet),
+		"missing member":  frame(opHSet, wirefmt.AppendString(nil, "f")),
+		"missing delta":   frame(opIncr),
+		"trailing bytes":  frame(opDel, []byte{0}),
+		"truncated score": frame(opZAdd, []byte{9, 1}),
+	}
+	for name, f := range bad {
+		si, err := frameShard(f)
+		if err == nil {
+			err = s.applyFrame(&s.shards[si], f)
+		}
+		if err == nil {
+			t.Errorf("%s: frame %x accepted", name, f)
 		}
 	}
 }
 
+// TestOpenRejectsCorruptAOF: a store path that is a regular file (such as
+// a text append-only file from before the WAL) is not a store. Open fails
+// and leaves the file byte-identical, with nothing created beside it.
 func TestOpenRejectsCorruptAOF(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "corrupt.aof")
-	if err := os.WriteFile(path, []byte("SET dg== dg==\nGARBAGE LINE\n"), 0o600); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "corrupt.aof")
+	content := []byte("SET dg== dg==\nGARBAGE LINE\n")
+	if err := os.WriteFile(path, content, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); err == nil {
-		t.Fatal("Open accepted corrupt AOF")
+	if s, err := Open(path); err == nil {
+		s.Close()
+		t.Fatal("Open accepted a regular file as the store path")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("file changed by a failed Open: %q, %v", got, err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory after a failed Open: %v, %v; want only the file", entries, err)
 	}
 }
 

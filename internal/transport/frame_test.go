@@ -1,40 +1,46 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
-	"reflect"
+	"encoding/binary"
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"datablinder/internal/wirefmt"
 )
 
 func TestFrameRoundTripQuick(t *testing.T) {
-	// Property: any request written as a frame reads back identically.
-	f := func(id uint64, service, method string, payload []byte) bool {
-		in := &request{
-			ID:      id,
-			Service: service,
-			Method:  method,
+	// Property: any request frame reads back identically, whether its
+	// method is named inline or by table id.
+	table := wireTestTable(t)
+	f := func(id uint64, name string, byID bool, enc uint8, payload []byte) bool {
+		enc %= encBatch + 1
+		if byID {
+			name = table.names[int(id%uint64(len(table.names)))]
+		} else if _, ok := table.ids[name]; !ok && enc == encTyped {
+			// A typed call must name a negotiated method.
+			enc = encJSON
 		}
-		if payload != nil {
-			raw, err := json.Marshal(payload)
-			if err != nil {
-				return false
-			}
-			in.Payload = raw
-		}
-		var buf bytes.Buffer
-		if _, err := writeFrame(&buf, in); err != nil {
+		buf := binary.AppendUvarint(append(newWireFrameBuf(), wireKindReq), id)
+		frame, err := finishWireFrame(appendCall(buf, table, name, enc, payload))
+		if err != nil {
 			return false
 		}
-		var out request
-		if _, err := readFrame(&buf, &out); err != nil {
+		body, err := readWireFrame(bufio.NewReader(bytes.NewReader(frame)))
+		if err != nil {
 			return false
 		}
-		return out.ID == in.ID && out.Service == in.Service && out.Method == in.Method &&
-			(len(in.Payload) == 0 && len(out.Payload) == 0 || reflect.DeepEqual(in.Payload, out.Payload))
+		r := wirefmt.NewReader(body)
+		if r.Byte() != wireKindReq || r.Uvarint() != id {
+			return false
+		}
+		call, err := parseCall(r, table)
+		return err == nil && r.Finish() == nil &&
+			call.name == name && call.enc == enc && bytes.Equal(call.payload, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -42,19 +48,14 @@ func TestFrameRoundTripQuick(t *testing.T) {
 }
 
 func TestFrameRejectsOversize(t *testing.T) {
-	big := struct {
-		Data []byte `json:"data"`
-	}{Data: make([]byte, MaxFrameSize)}
-	var buf bytes.Buffer
-	if _, err := writeFrame(&buf, big); err != ErrFrameTooLarge {
-		t.Fatalf("writeFrame(oversize) = %v", err)
+	buf := append(newWireFrameBuf(), make([]byte, MaxFrameSize+1)...)
+	if _, err := finishWireFrame(buf); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("finishWireFrame(oversize) = %v", err)
 	}
 	// A header that promises too much is rejected on read.
-	buf.Reset()
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	var v request
-	if _, err := readFrame(&buf, &v); err != ErrFrameTooLarge {
-		t.Fatalf("readFrame(oversize header) = %v", err)
+	hdr := binary.AppendUvarint(nil, MaxFrameSize+1)
+	if _, err := readWireFrame(bufio.NewReader(bytes.NewReader(hdr))); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("readWireFrame(oversize header) = %v", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -194,20 +193,19 @@ func TestMidCallSocketKill(t *testing.T) {
 			n := connN.Add(1)
 			go func(conn net.Conn, n int64) {
 				defer conn.Close()
+				p, ok := answerHello(conn)
+				if !ok {
+					return
+				}
 				for {
-					var req request
-					if _, err := readFrame(conn, &req); err != nil {
+					id, call, err := p.readCall()
+					if err != nil {
 						return
-					}
-					if req.Service == wireService {
-						// A v1 server pinned to JSON framing.
-						writeFrame(conn, &response{ID: req.ID, OK: true, Payload: []byte(`{"version":1}`)})
-						continue
 					}
 					if n == 1 {
 						return // kill the socket with the call pending
 					}
-					writeFrame(conn, &response{ID: req.ID, OK: true, Payload: req.Payload})
+					p.reply(id, call.payload)
 				}
 			}(conn, n)
 		}
@@ -394,7 +392,7 @@ func TestBatchRejectsNesting(t *testing.T) {
 	lb := NewLoopback(testMux())
 	defer lb.Close()
 	results, err := CallBatch(context.Background(), lb, []BatchCall{
-		{Service: BatchService, Method: BatchMethod, Args: []request{}},
+		{Service: BatchService, Method: BatchMethod, Args: []BatchCall{}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -428,10 +426,13 @@ func TestErrorCodes(t *testing.T) {
 	if !IsAlreadyExistsError(err) {
 		t.Fatal("IsAlreadyExistsError missed a coded error")
 	}
-	// Uncoded remote errors fall back to substring matching.
-	legacy := &RemoteError{Msg: "document not found: x"}
-	if !IsNotFoundError(legacy) {
-		t.Fatal("IsNotFoundError missed a legacy uncoded error")
+	// Uncoded remote errors never match, whatever their message says.
+	uncoded := &RemoteError{Msg: "document not found: x"}
+	if IsNotFoundError(uncoded) {
+		t.Fatal("IsNotFoundError matched an uncoded error by its message")
+	}
+	if IsAlreadyExistsError(&RemoteError{Msg: "document already exists: x"}) {
+		t.Fatal("IsAlreadyExistsError matched an uncoded error by its message")
 	}
 	if IsNotFoundError(errors.New("not a remote error: not found")) {
 		t.Fatal("IsNotFoundError matched a local error")
@@ -488,14 +489,15 @@ func TestOversizedArgs(t *testing.T) {
 	}
 }
 
-// sanity: frame header helpers stay in sync with the wire format used by
-// the raw-socket tests above.
+// TestFrameHeaderFormat: a frame is its body length as a uvarint, then
+// the body.
 func TestFrameHeaderFormat(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 7)
-	if hdr != [4]byte{0, 0, 0, 7} {
-		t.Fatal("frame header is not big-endian length")
+	buf := append(newWireFrameBuf(), make([]byte, 300)...)
+	frame, err := finishWireFrame(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, k := binary.Uvarint(frame); n != 300 || k != 2 || len(frame) != 302 {
+		t.Fatalf("header = %d (%d bytes), frame %d bytes; want 300 in 2 bytes, 302 total", n, k, len(frame))
 	}
 }
-
-var _ io.Reader = (net.Conn)(nil) // keep the net/io imports honest

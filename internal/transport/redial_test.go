@@ -1,23 +1,56 @@
 package transport
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"net"
 	"testing"
 	"time"
+
+	"datablinder/internal/wirefmt"
 )
 
-// answerHello consumes the client's codec-negotiation frame and pins the
-// socket to v1 JSON framing, emulating a pre-v2 server build.
-func answerHello(conn net.Conn, req *request) bool {
-	if _, err := readFrame(conn, req); err != nil {
-		return false
+// rawPeer is the server end of one socket, spoken by hand so a test can
+// misbehave at exact points of the exchange.
+type rawPeer struct {
+	conn  net.Conn
+	br    *bufio.Reader
+	table *wireTable
+}
+
+// answerHello negotiates the socket like a real server would.
+func answerHello(conn net.Conn) (*rawPeer, bool) {
+	br := bufio.NewReader(conn)
+	table, err := acceptHello(conn, br)
+	if err != nil {
+		return nil, false
 	}
-	if req.Service != wireService {
-		return false
+	return &rawPeer{conn: conn, br: br, table: table}, true
+}
+
+// readCall reads one request frame.
+func (p *rawPeer) readCall() (uint64, parsedCall, error) {
+	body, err := readWireFrame(p.br)
+	if err != nil {
+		return 0, parsedCall{}, err
 	}
-	_, err := writeFrame(conn, &response{ID: req.ID, OK: true, Payload: []byte(`{"version":1}`)})
-	return err == nil
+	r := wirefmt.NewReader(body)
+	r.Byte() // kind
+	id := r.Uvarint()
+	call, err := parseCall(r, p.table)
+	return id, call, err
+}
+
+// reply writes an ok result with a JSON payload.
+func (p *rawPeer) reply(id uint64, payload []byte) error {
+	buf := binary.AppendUvarint(append(newWireFrameBuf(), wireKindResp), id)
+	frame, err := finishWireFrame(appendResultOK(buf, encJSON, payload))
+	if err != nil {
+		return err
+	}
+	_, err = p.conn.Write(frame)
+	return err
 }
 
 // TestCallReplaysOnceAfterMidFlightDeath kills the server side of the
@@ -40,9 +73,8 @@ func TestCallReplaysOnceAfterMidFlightDeath(t *testing.T) {
 		if err != nil {
 			return
 		}
-		var req request
-		if answerHello(conn, &req) {
-			if _, err := readFrame(conn, &req); err == nil {
+		if p, ok := answerHello(conn); ok {
+			if _, _, err := p.readCall(); err == nil {
 				served <- 1
 			}
 		}
@@ -54,14 +86,16 @@ func TestCallReplaysOnceAfterMidFlightDeath(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		if !answerHello(conn, &req) {
+		p, ok := answerHello(conn)
+		if !ok {
 			return
 		}
-		if _, err := readFrame(conn, &req); err != nil {
+		id, _, err := p.readCall()
+		if err != nil {
 			return
 		}
 		served <- 2
-		writeFrame(conn, &response{ID: req.ID, OK: true, Payload: []byte(`{"ok":true}`)})
+		p.reply(id, []byte(`{"ok":true}`))
 		// Hold the socket open so the client can read the reply.
 		time.Sleep(200 * time.Millisecond)
 	}()
@@ -102,8 +136,7 @@ func TestCallSurfacesOriginalErrorWhenRedialFails(t *testing.T) {
 		if err != nil {
 			return
 		}
-		var req request
-		if !answerHello(conn, &req) {
+		if _, ok := answerHello(conn); !ok {
 			return
 		}
 		accepted <- conn

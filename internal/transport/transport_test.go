@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,7 +32,7 @@ func testMux() *Mux {
 		return echoReply{Msg: in.Msg}, nil
 	})
 	mux.Handle("test", "fail", func(_ context.Context, _ json.RawMessage) (any, error) {
-		return nil, errors.New("document not found: obs/x")
+		return nil, WithCode(errors.New("document not found: obs/x"), CodeNotFound)
 	})
 	mux.Handle("test", "add", func(_ context.Context, payload json.RawMessage) (any, error) {
 		var in struct{ A, B int }
@@ -226,24 +228,34 @@ func TestClientRecoversAfterTimeout(t *testing.T) {
 	}
 }
 
+// TestServerSurvivesGarbageFrames: a connection whose first bytes are not
+// a valid v2 hello frame is dropped, and the server keeps serving others.
 func TestServerSurvivesGarbageFrames(t *testing.T) {
 	addr, _ := startServer(t)
 
-	// Write raw garbage: a frame header promising more bytes than sent,
-	// then an oversized header.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	notHello := binary.AppendUvarint([]byte{wireKindReq}, 1)
+	notHello = appendCall(notHello, noMethodTable, "test.echo", encJSON, []byte(`{"msg":"x"}`))
+	garbage := map[string][]byte{
+		"oversized length":      binary.AppendUvarint(nil, MaxFrameSize+1),
+		"overflowing length":    bytes.Repeat([]byte{0xff}, 10),
+		"v1 JSON frame":         {0, 0, 0, 5, '{', 'b', 'a', 'd'},
+		"response as first":     {5, wireKindResp, 1, wireStatusOK, encJSON, 0},
+		"call before the hello": append(binary.AppendUvarint(nil, uint64(len(notHello))), notHello...),
 	}
-	conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // 4 GiB frame: rejected
-	conn.Close()
-
-	conn2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	for name, junk := range garbage {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		conn.Write(junk)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := conn.Read(make([]byte, 64))
+		conn.Close()
+		var ne net.Error
+		if err == nil || errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("%s: server kept the connection (read %d bytes, err %v)", name, n, err)
+		}
 	}
-	conn2.Write([]byte{0, 0, 0, 5, '{', 'b', 'a', 'd'}) // truncated JSON
-	conn2.Close()
 
 	// The server must still answer well-formed clients.
 	client, err := Dial(addr, DialOptions{})

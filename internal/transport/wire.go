@@ -1,24 +1,20 @@
-// Wire codec v2: a negotiated binary framing for the gateway↔cloud channel.
+// Wire protocol version 2: the binary framing of the gateway↔cloud channel.
 //
-// The v1 protocol ships length-prefixed JSON, so every ciphertext, PRF
-// label, and BIEX cell pays base64 (+33% bytes) plus reflective
-// encode/decode allocations on both ends. Codec v2 replaces the JSON
-// envelope with a varint-framed binary one and, for the hot RPCs, replaces
-// the JSON payload with a hand-rolled typed encoding in which raw bytes
-// ride as raw bytes.
+// Every frame is a varint-framed binary envelope. For the hot RPCs the
+// payload inside it is a hand-rolled typed encoding in which ciphertexts,
+// PRF labels and BIEX cells ride as raw bytes; cold setup/admin methods
+// carry JSON payloads inside the same envelope.
 //
-// Negotiation: the first request a client sends on a fresh socket is a
-// v1-framed `_wire.hello` carrying the sorted list of methods it has typed
-// codecs for. A v2 server replies with the subset it also supports and
-// both sides switch the socket to binary framing; the agreed subset,
-// in order, becomes the method id table (id i+1 = i'th accepted method,
-// id 0 = inline method name, the escape hatch for cold setup/admin
-// methods). A server that predates v2 rejects the unknown method and a
-// server run with binary framing disabled answers `version: 1`; in both
-// cases the client simply stays on JSON, so mixed-version fleets keep
-// working.
+// Negotiation: the first frame a client sends on a fresh socket is a
+// `_wire.hello` request (method named inline, JSON payload) carrying the
+// sorted list of methods it has typed codecs for. The server replies with
+// version 2 and the subset it also supports; the agreed subset, in order,
+// becomes the socket's method id table (id i+1 = i'th accepted method,
+// id 0 = inline method name). A server drops a connection whose first
+// frame is anything else, and a client whose peer does not answer
+// version 2 fails the dial.
 //
-// Binary frame layout (both directions, after a successful hello):
+// Frame layout (both directions, the hello included):
 //
 //	frame    := uvarint(len(body)) body            // len ≤ MaxFrameSize
 //	body     := 0x01 uvarint(id) call              // request
@@ -34,8 +30,8 @@
 //
 // Typed payloads are used only for methods in the agreed table (both ends
 // are then guaranteed to hold the codec); everything else — including any
-// argument value a codec does not recognise — falls back to a JSON payload
-// inside the binary envelope.
+// argument value a codec does not recognise — travels as a JSON payload
+// inside the same envelope.
 package transport
 
 import (
@@ -53,8 +49,8 @@ import (
 	"datablinder/internal/wirefmt"
 )
 
-// Reserved negotiation endpoint. The leading underscore keeps it out of
-// Mux.Services(); the server intercepts it before dispatch.
+// Reserved negotiation endpoint, served only as a connection's first
+// frame. The leading underscore marks it as internal.
 const (
 	wireService     = "_wire"
 	wireHelloMethod = "hello"
@@ -86,9 +82,8 @@ type helloArgs struct {
 	Methods []string `json:"methods,omitempty"`
 }
 
-// helloReply is the server's answer. Version 2 switches the socket to
-// binary framing; Accept indexes into the client's Methods list and fixes
-// the method id table (id = position in Accept + 1).
+// helloReply is the server's answer. Accept indexes into the client's
+// Methods list and fixes the method id table (id = position in Accept + 1).
 type helloReply struct {
 	Version int   `json:"version"`
 	Accept  []int `json:"accept,omitempty"`
@@ -97,8 +92,8 @@ type helloReply struct {
 // PayloadCodec is the typed binary encoding of one method's argument and
 // reply payloads. Encode appends to dst (which may be a pooled frame
 // buffer) and returns the extended slice; an encode error (e.g. an
-// unexpected argument type) makes the transport fall back to a JSON
-// payload for that call. Decode must be strictly bounds-checked: malformed
+// unexpected argument type) makes the transport send a JSON payload for
+// that call instead. Decode must be strictly bounds-checked: malformed
 // input returns an error, never panics. Decoded byte slices may alias the
 // input buffer.
 type PayloadCodec struct {
@@ -150,7 +145,7 @@ func RegisteredWireMethods() []string {
 }
 
 // errCodecType reports an argument/reply value a typed codec does not
-// recognise; the transport falls back to JSON for that payload.
+// recognise; the transport sends a JSON payload instead.
 var errCodecType = errors.New("transport: value type not handled by codec")
 
 // NoReply marks a method without a typed reply encoding in Codec.
@@ -242,6 +237,11 @@ type wireTable struct {
 	ids    map[string]uint16
 }
 
+// noMethodTable has no method ids: every call is named inline and carries a
+// JSON payload. The hello is framed with it (no table exists yet), and
+// ConnCodec reports it for Conns that do not expose their own codec.
+var noMethodTable = &wireTable{}
+
 // newWireTable builds the table both peers derive from a hello exchange.
 // proposal is the client's method list, accept the server's chosen indexes
 // (strictly increasing, in range); every accepted method must be in the
@@ -268,7 +268,7 @@ func newWireTable(proposal []string, accept []int) (*wireTable, error) {
 
 // resolve maps a method id to its name and codec.
 func (t *wireTable) resolve(mid uint64) (string, *PayloadCodec, bool) {
-	if t == nil || mid == 0 || mid > uint64(len(t.names)) {
+	if mid == 0 || mid > uint64(len(t.names)) {
 		return "", nil, false
 	}
 	return t.names[mid-1], t.codecs[mid-1], true
@@ -285,8 +285,7 @@ func acceptIndexes(proposal []string) []int {
 	return accept
 }
 
-// wireBufPool recycles binary frame encode buffers (the analogue of
-// encBufPool for the v1 path).
+// wireBufPool recycles frame encode buffers and typed-payload scratch.
 var wireBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // wireFrameHdr is the reserved prefix for the frame length uvarint
@@ -340,16 +339,40 @@ func readWireFrame(br *bufio.Reader) ([]byte, error) {
 }
 
 // appendCall appends one call section (method, enc, length-prefixed
-// payload), compressing the method to its table id when negotiated.
+// payload).
 func appendCall(b []byte, t *wireTable, name string, enc byte, payload []byte) []byte {
-	if mid, ok := t.ids[name]; ok {
-		b = binary.AppendUvarint(b, uint64(mid))
-	} else {
-		b = append(b, 0)
-		b = wirefmt.AppendString(b, name)
-	}
-	b = append(b, enc)
+	b = append(appendMethod(b, t, name), enc)
 	return wirefmt.AppendBytes(b, payload)
+}
+
+// appendMethod appends a call's method, compressed to its table id when
+// negotiated and named inline otherwise.
+func appendMethod(b []byte, t *wireTable, name string) []byte {
+	if mid, ok := t.ids[name]; ok {
+		return binary.AppendUvarint(b, uint64(mid))
+	}
+	b = append(b, 0)
+	return wirefmt.AppendString(b, name)
+}
+
+// appendCallArgs appends the call section for name with args encoded for
+// table t: a batch chunk (see CallBatch) as one encBatch payload, any other
+// value as encodeArgsScratch chooses.
+func appendCallArgs(b []byte, t *wireTable, name string, args any) ([]byte, error) {
+	if chunk, ok := args.(*batchChunk); ok {
+		return appendBatchCall(b, t, name, chunk.subs)
+	}
+	scratch := (*wireBufPool.Get().(*[]byte))[:0]
+	payload, enc, fromScratch, err := encodeArgsScratch(scratch, t, name, args)
+	if err == nil {
+		b = appendCall(b, t, name, enc, payload)
+	}
+	if fromScratch {
+		putWireFrameBuf(payload) // scratch, possibly grown
+	} else {
+		putWireFrameBuf(scratch)
+	}
+	return b, err
 }
 
 // callWireSize is the exact encoded size of one call section — the
@@ -463,12 +486,12 @@ func parseResult(r *wirefmt.Reader) (parsedResult, error) {
 // encodeArgsPayload encodes args for one outgoing call: typed when the
 // method is in the negotiated table and its codec recognises the value,
 // JSON otherwise. Pre-encoded RawArgs pass through unchanged unless the
-// socket's codec can no longer carry the payload — see RawArgs. The
+// socket's table can no longer carry the payload — see RawArgs. The
 // payload may be retained by the caller, so it is always freshly
 // allocated; hot paths that copy it into a frame immediately should use
 // encodeArgsScratch instead.
-func encodeArgsPayload(t *wireTable, service, method string, args any) (payload []byte, enc byte, err error) {
-	payload, enc, _, err = encodeArgsScratch(nil, t, service, method, args)
+func encodeArgsPayload(t *wireTable, name string, args any) (payload []byte, enc byte, err error) {
+	payload, enc, _, err = encodeArgsScratch(nil, t, name, args)
 	return payload, enc, err
 }
 
@@ -477,36 +500,29 @@ func encodeArgsPayload(t *wireTable, service, method string, args any) (payload 
 // was appended to scratch (possibly grown) and may be recycled once the
 // caller has copied it into a frame; when false the payload is a
 // pass-through (RawArgs) or a fresh JSON buffer and scratch is untouched.
-func encodeArgsScratch(scratch []byte, t *wireTable, service, method string, args any) (payload []byte, enc byte, fromScratch bool, err error) {
+func encodeArgsScratch(scratch []byte, t *wireTable, name string, args any) (payload []byte, enc byte, fromScratch bool, err error) {
 	if raw, ok := args.(RawArgs); ok {
 		if raw.Typed {
-			if t != nil {
-				if _, ok := t.ids[service+"."+method]; ok {
-					return raw.Payload, encTyped, false, nil
-				}
+			if _, ok := t.ids[name]; ok {
+				return raw.Payload, encTyped, false, nil
 			}
 			// The socket renegotiated since the payload was encoded:
 			// re-encode from the retained args.
 			if raw.Args != nil {
-				return encodeArgsScratch(scratch, t, service, method, raw.Args)
+				return encodeArgsScratch(scratch, t, name, raw.Args)
 			}
-			if t == nil {
-				return nil, 0, false, errors.New("transport: typed RawArgs on a JSON connection")
-			}
-			return nil, 0, false, fmt.Errorf("transport: typed RawArgs for unnegotiated method %s.%s", service, method)
+			return nil, 0, false, fmt.Errorf("transport: typed RawArgs for unnegotiated method %s", name)
 		}
 		return raw.Payload, encJSON, false, nil
 	}
-	if t != nil {
-		if mid, ok := t.ids[service+"."+method]; ok {
-			codec := t.codecs[mid-1]
-			start := time.Now()
-			if b, cerr := codec.EncodeArgs(scratch, args); cerr == nil {
-				wireRecordEncode(service+"."+method, time.Since(start))
-				return b, encTyped, scratch != nil, nil
-			}
-			// Unrecognised argument type: fall back to JSON.
+	if mid, ok := t.ids[name]; ok {
+		codec := t.codecs[mid-1]
+		start := time.Now()
+		if b, cerr := codec.EncodeArgs(scratch, args); cerr == nil {
+			wireRecordEncode(name, time.Since(start))
+			return b, encTyped, scratch != nil, nil
 		}
+		// Unrecognised argument type: send JSON.
 	}
 	if args == nil {
 		return nil, encJSON, false, nil
@@ -523,7 +539,7 @@ func encodeArgsScratch(scratch []byte, t *wireTable, service, method string, arg
 // decoding (the coalescer's deferred-decode path).
 func decodeResultPayload(name string, enc byte, payload []byte, reply any) error {
 	if enc == encBatch {
-		// Batch results are consumed by batchRoundTrip, never by Call.
+		// Batch results are consumed by deliverResult for a batch chunk.
 		return fmt.Errorf("%w: unexpected batch result for %s", ErrWireProtocol, name)
 	}
 	if br, ok := reply.(*BatchResult); ok {
@@ -555,9 +571,11 @@ func decodeResultPayload(name string, enc byte, payload []byte, reply any) error
 }
 
 // wireExec executes one parsed call against m and appends its result
-// section to dst. typedReply authorises typed reply payloads (the peer
-// negotiated this method). Batch payloads recurse one level.
-func wireExec(ctx context.Context, m *Mux, t *wireTable, dst []byte, call parsedCall, typedReply bool) []byte {
+// section to dst. Batch payloads recurse one level; their sub-calls run in
+// order, one after another — the saving is the round trip, and in-order
+// execution preserves per-document index-update ordering for tactic
+// protocols.
+func wireExec(ctx context.Context, m *Mux, t *wireTable, dst []byte, call parsedCall) []byte {
 	if call.enc == encBatch {
 		if call.name != BatchService+"."+BatchMethod {
 			return appendResultErr(dst, "", "transport: batch payload on non-batch method "+call.name)
@@ -579,7 +597,7 @@ func wireExec(ctx context.Context, m *Mux, t *wireTable, dst []byte, call parsed
 				body = appendResultErr(body, "", "transport: nested batch calls are not allowed")
 				continue
 			}
-			body = wireExec(ctx, m, t, body, sub, typedReply)
+			body = wireExec(ctx, m, t, body, sub)
 		}
 		if err := r.Finish(); err != nil {
 			return appendResultErr(dst, "", "transport: decoding batch: trailing bytes")
@@ -628,26 +646,25 @@ func wireExec(ctx context.Context, m *Mux, t *wireTable, dst []byte, call parsed
 		return appendResultOK(dst, encJSON, nil)
 	}
 
-	// Encode the reply: typed when authorised and the codec recognises the
-	// handler's value, JSON otherwise. The typed encode runs in a pooled
-	// scratch buffer — it is copied into dst immediately.
-	if typedReply {
-		if codec := codecForReply(t, call); codec != nil && codec.EncodeReply != nil {
-			mark := len(dst)
-			dst = append(dst, wireStatusOK, encTyped)
-			lenMark := len(dst)
-			scratch := (*wireBufPool.Get().(*[]byte))[:0]
-			start := time.Now()
-			b, cerr := codec.EncodeReply(scratch, result)
-			wireRecordEncode(call.name, time.Since(start))
-			if cerr == nil {
-				dst = wirefmt.AppendBytes(dst[:lenMark], b)
-				putWireFrameBuf(b)
-				return dst
-			}
-			putWireFrameBuf(scratch)
-			dst = dst[:mark]
+	// Encode the reply: typed when the peer negotiated the method and the
+	// codec recognises the handler's value, JSON otherwise. The typed
+	// encode runs in a pooled scratch buffer — it is copied into dst
+	// immediately.
+	if codec := codecForReply(t, call); codec != nil && codec.EncodeReply != nil {
+		mark := len(dst)
+		dst = append(dst, wireStatusOK, encTyped)
+		lenMark := len(dst)
+		scratch := (*wireBufPool.Get().(*[]byte))[:0]
+		start := time.Now()
+		b, cerr := codec.EncodeReply(scratch, result)
+		wireRecordEncode(call.name, time.Since(start))
+		if cerr == nil {
+			dst = wirefmt.AppendBytes(dst[:lenMark], b)
+			putWireFrameBuf(b)
+			return dst
 		}
+		putWireFrameBuf(scratch)
+		dst = dst[:mark]
 	}
 	payload, merr := json.Marshal(result)
 	if merr != nil {
@@ -663,10 +680,8 @@ func codecForReply(t *wireTable, call parsedCall) *PayloadCodec {
 	if call.codec != nil {
 		return call.codec
 	}
-	if t != nil {
-		if mid, ok := t.ids[call.name]; ok {
-			return t.codecs[mid-1]
-		}
+	if mid, ok := t.ids[call.name]; ok {
+		return t.codecs[mid-1]
 	}
 	return nil
 }
@@ -675,10 +690,10 @@ func codecForReply(t *wireTable, call parsedCall) *PayloadCodec {
 // connection's WireCodec (see ConnCodec / WireCodec.EncodeArgs). The
 // coalescer encodes sub-calls at enqueue time — for byte-accurate flush
 // triggers and dedup keys — and ships them with RawArgs so the transport
-// does not encode twice. A Typed payload is only sendable on the
-// connection whose codec produced it; if the socket has since renegotiated
-// down to a codec that cannot carry it, the transport re-encodes from the
-// retained Args (when set) instead of failing the call.
+// does not encode twice. A Typed payload is only sendable on a socket whose
+// method table holds the method; if the socket has since renegotiated a
+// table without it, the transport re-encodes from the retained Args (when
+// set) instead of failing the call.
 type RawArgs struct {
 	Payload []byte
 	Typed   bool
@@ -687,37 +702,19 @@ type RawArgs struct {
 	Args any
 }
 
-// MarshalJSON makes RawArgs transparent to JSON encoders: a JSON payload
-// passes through verbatim, a typed payload re-encodes from the retained
-// args. Wrapper connections that inspect arguments with json.Marshal
-// (bench instrumentation, logging) keep seeing the original value shape.
-func (r RawArgs) MarshalJSON() ([]byte, error) {
-	if !r.Typed {
-		if len(r.Payload) == 0 {
-			return []byte("null"), nil
-		}
-		return r.Payload, nil
-	}
-	if r.Args == nil {
-		return nil, errors.New("transport: typed RawArgs without retained args")
-	}
-	return json.Marshal(r.Args)
-}
-
 // WireCodec describes how a Conn encodes call payloads, letting the batch
 // chunker and the coalescer account exact per-sub-call wire sizes and
-// pre-encode payloads for the active codec.
+// pre-encode payloads for the connection's method table.
 type WireCodec interface {
-	// Name is "json" or "binary".
+	// Name is "binary" when payloads of negotiated methods use their typed
+	// encodings, "json" when every payload is JSON.
 	Name() string
 	// EncodeArgs returns the payload for service.method and whether it used
 	// the typed encoding.
 	EncodeArgs(service, method string, args any) (payload []byte, typed bool, err error)
-	// SubSize is the exact (binary) or estimated (JSON) encoded size of one
-	// batch sub-call with a payload of payloadLen bytes.
+	// SubSize is the encoded size of one batch sub-call with a payload of
+	// payloadLen bytes.
 	SubSize(service, method string, payloadLen int) int
-	// MaxChunkBytes caps the summed SubSizes shipped in one batch frame.
-	MaxChunkBytes() int
 }
 
 // wireCodecProvider is implemented by Conns whose codec can be queried.
@@ -725,53 +722,35 @@ type wireCodecProvider interface {
 	WireCodec() WireCodec
 }
 
-// ConnCodec returns conn's active wire codec. Conns that do not expose one
-// (wrappers, test fakes) report the JSON codec, which matches how CallBatch
-// falls back to v1 framing for them.
+// ConnCodec returns conn's active wire codec. A Conn that does not expose
+// one (a wrapper that forwards only Call, a test fake) gets JSON payloads
+// inside the v2 envelope, each sub-call sized exactly as a call section
+// that names its method inline — what such a wrapper's batches cost on a
+// socket whose table lacks the method, and an upper bound otherwise.
 func ConnCodec(conn Conn) WireCodec {
 	if p, ok := conn.(wireCodecProvider); ok {
 		if c := p.WireCodec(); c != nil {
 			return c
 		}
 	}
-	return jsonWireCodec{}
+	return wireCodec{table: noMethodTable}
 }
 
-// jsonWireCodec is the v1 accounting: JSON payloads and the historical
-// 56-byte envelope estimate.
-type jsonWireCodec struct{}
+// wireCodec accounts for one method table.
+type wireCodec struct{ table *wireTable }
 
-func (jsonWireCodec) Name() string { return "json" }
-
-func (jsonWireCodec) EncodeArgs(service, method string, args any) ([]byte, bool, error) {
-	if args == nil {
-		return nil, false, nil
+func (c wireCodec) Name() string {
+	if len(c.table.names) == 0 {
+		return "json"
 	}
-	b, err := json.Marshal(args)
-	if err != nil {
-		return nil, false, fmt.Errorf("transport: encoding args: %w", err)
-	}
-	return b, false, nil
+	return "binary"
 }
 
-func (jsonWireCodec) SubSize(service, method string, payloadLen int) int {
-	return payloadLen + len(service) + len(method) + subRequestOverhead
-}
-
-func (jsonWireCodec) MaxChunkBytes() int { return maxBatchChunkBytes }
-
-// binaryWireCodec accounts for the negotiated binary framing.
-type binaryWireCodec struct{ table *wireTable }
-
-func (binaryWireCodec) Name() string { return "binary" }
-
-func (c binaryWireCodec) EncodeArgs(service, method string, args any) ([]byte, bool, error) {
-	payload, enc, err := encodeArgsPayload(c.table, service, method, args)
+func (c wireCodec) EncodeArgs(service, method string, args any) ([]byte, bool, error) {
+	payload, enc, err := encodeArgsPayload(c.table, service+"."+method, args)
 	return payload, enc == encTyped, err
 }
 
-func (c binaryWireCodec) SubSize(service, method string, payloadLen int) int {
+func (c wireCodec) SubSize(service, method string, payloadLen int) int {
 	return callWireSize(c.table, service+"."+method, payloadLen)
 }
-
-func (binaryWireCodec) MaxChunkBytes() int { return maxBatchChunkBytes }

@@ -86,7 +86,7 @@ func FuzzBinaryFrame(f *testing.F) {
 	mux := fuzzMux()
 
 	// Seed with well-formed frames of every section kind.
-	argPayload, _, err := encodeArgsPayload(table, "fuzz", "echo", &fuzzArgs{S: "s", B: []byte{1, 2}, US: []uint64{7}})
+	argPayload, _, err := encodeArgsPayload(table, "fuzz.echo", &fuzzArgs{S: "s", B: []byte{1, 2}, US: []uint64{7}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func FuzzBinaryFrame(f *testing.F) {
 		r.Uvarint() // request id
 		if kind == wireKindReq {
 			if call, err := parseCall(r, table); err == nil && r.Finish() == nil {
-				out := wireExec(context.Background(), mux, table, nil, call, true)
+				out := wireExec(context.Background(), mux, table, nil, call)
 				// Whatever the handler did, the result section must parse.
 				rr := wirefmt.NewReader(out)
 				if _, err := parseResult(rr); err != nil {
@@ -137,7 +137,7 @@ func FuzzBinaryFrame(f *testing.F) {
 		if res, err := parseResult(r); err == nil && r.Finish() == nil {
 			if res.ok && res.enc == encBatch {
 				// Batch results parse one level deeper: two sub-slots of
-				// arbitrary encoding, as batchRoundTrip would see them.
+				// arbitrary encoding, as deliverResult would see them.
 				subs := []encodedSub{{service: "fuzz", method: "echo"}, {service: "fuzz", method: "json"}}
 				parseBatchResults(subs, res.payload)
 			}

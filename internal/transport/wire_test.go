@@ -7,8 +7,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"datablinder/internal/wirefmt"
 )
@@ -124,8 +128,8 @@ func testWireMux() *Mux {
 }
 
 // TestNegotiationUpgradesToBinary: same-build client and server settle on
-// the binary codec, and calls still work (JSON escape hatch for a method
-// with no typed codec).
+// the binary codec, and calls still work (JSON payload for a method with
+// no typed codec).
 func TestNegotiationUpgradesToBinary(t *testing.T) {
 	srv := NewServer(testWireMux())
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -151,55 +155,71 @@ func TestNegotiationUpgradesToBinary(t *testing.T) {
 	}
 }
 
-// TestNegotiationFallsBackToJSON: a server pinned to v1 keeps the client
-// on JSON framing with identical call semantics.
-func TestNegotiationFallsBackToJSON(t *testing.T) {
-	srv := NewServer(testWireMux())
-	srv.DisableBinary = true
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// TestDialRejectsNonV2Hello: a peer whose hello reply is not a version 2
+// acceptance fails Dial promptly, and the client sends nothing more on
+// that socket — there is no fallback framing.
+func TestDialRejectsNonV2Hello(t *testing.T) {
+	okReply := func(payload string) []byte {
+		body := appendResultOK(binary.AppendUvarint([]byte{wireKindResp}, 0), encJSON, []byte(payload))
+		return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
 	}
-	defer srv.Close()
-	c, err := Dial(addr, DialOptions{})
-	if err != nil {
-		t.Fatal(err)
+	errBody := appendResultErr(binary.AppendUvarint([]byte{wireKindResp}, 0), "", "transport: no handler registered: _wire.hello")
+	v1JSON := []byte(`{"id":0,"ok":true,"payload":{"version":1}}`)
+	replies := map[string][]byte{
+		"version 1":         okReply(`{"version":1}`),
+		"version 3":         okReply(`{"version":3}`),
+		"undecodable reply": okReply(`not json`),
+		"error result":      append(binary.AppendUvarint(nil, uint64(len(errBody))), errBody...),
+		"v1 JSON framing":   append(binary.BigEndian.AppendUint32(nil, uint32(len(v1JSON))), v1JSON...),
+		"closed socket":     nil,
 	}
-	defer c.Close()
+	for name, reply := range replies {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			after := make(chan error, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					after <- err
+					return
+				}
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				if _, err := readWireFrame(br); err != nil {
+					after <- fmt.Errorf("reading hello: %w", err)
+					return
+				}
+				if reply == nil {
+					after <- nil
+					return
+				}
+				conn.Write(reply)
+				// The client must give up on the socket, not send more.
+				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if _, err := br.ReadByte(); err != io.EOF {
+					after <- fmt.Errorf("client kept the socket after a bad hello: read err %v", err)
+					return
+				}
+				after <- nil
+			}()
 
-	var reply map[string]string
-	if err := c.Call(context.Background(), "svc", "echo", map[string]string{"k": "v"}, &reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply["k"] != "v" {
-		t.Fatalf("echo reply = %v", reply)
-	}
-	if got := ConnCodec(c).Name(); got != "json" {
-		t.Fatalf("negotiated codec = %q, want json", got)
-	}
-}
-
-// TestClientPinnedToJSON: DialOptions.DisableBinary skips the hello
-// entirely, so even a v2 server serves the connection as v1.
-func TestClientPinnedToJSON(t *testing.T) {
-	srv := NewServer(testWireMux())
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(addr, DialOptions{DisableBinary: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	var reply map[string]string
-	if err := c.Call(context.Background(), "svc", "echo", map[string]string{"k": "v"}, &reply); err != nil {
-		t.Fatal(err)
-	}
-	if got := ConnCodec(c).Name(); got != "json" {
-		t.Fatalf("negotiated codec = %q, want json", got)
+			start := time.Now()
+			c, err := Dial(ln.Addr().String(), DialOptions{PoolSize: 1, Timeout: 10 * time.Second})
+			if err == nil {
+				c.Close()
+				t.Fatal("Dial accepted a peer that did not answer version 2")
+			}
+			if d := time.Since(start); d > 5*time.Second {
+				t.Fatalf("Dial took %v to reject the hello", d)
+			}
+			if err := <-after; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
